@@ -60,7 +60,7 @@ let () =
               | S.Pconst c -> Printf.sprintf "constant %#Lx" c
             in
             let status =
-              match Hashtbl.find_opt als.Om.Analysis.gatload_status n.S.nid with
+              match als.Om.Analysis.gatload_status.(n.S.nid) with
               | Some (Om.Analysis.All_marked us) ->
                   Printf.sprintf "%d linked use(s), foldable" (List.length us)
               | Some Om.Analysis.Escapes -> "value escapes (convert only)"

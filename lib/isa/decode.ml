@@ -70,6 +70,47 @@ let decode w =
           Ok (Insn.Op { op; ra; rb; rc }))
   | _ -> Error (Bad_opcode opcode)
 
+(* [decode w] succeeds exactly when this holds; checked without building
+   the instruction, so a whole-stream check allocates nothing *)
+let decodable w =
+  let opcode = (w land 0xffffffff) lsr 26 in
+  match opcode with
+  | 0x00 | 0x08 | 0x09 | 0x29 | 0x2d | 0x30 | 0x34 | 0x38 | 0x39 | 0x3a
+  | 0x3b | 0x3c | 0x3d | 0x3e | 0x3f -> true
+  | 0x1a -> (w lsr 14) land 0x3 <> 3
+  | 0x10 | 0x11 | 0x12 | 0x13 ->
+      Option.is_some (binop_of ~opcode ~funct:((w lsr 5) land 0x7f))
+  | _ -> false
+
+type stream_error =
+  | Truncated of { length : int }
+  | Undecodable of { offset : int; error : error }
+
+let pp_stream_error ppf = function
+  | Truncated { length } ->
+      Format.fprintf ppf "length %d is not a multiple of 4" length
+  | Undecodable { offset; error } ->
+      Format.fprintf ppf "%a at offset %#x" pp_error error offset
+
+let word b k = Int32.to_int (Bytes.get_int32_le b (4 * k)) land 0xffffffff
+
+let check b =
+  let len = Bytes.length b in
+  if len land 3 <> 0 then Error (Truncated { length = len })
+  else
+    let n = len / 4 in
+    let rec go k =
+      if k = n then Ok ()
+      else
+        let w = word b k in
+        if decodable w then go (k + 1)
+        else
+          match decode w with
+          | Error error -> Error (Undecodable { offset = 4 * k; error })
+          | Ok _ -> go (k + 1) (* unreachable: [decodable] agrees *)
+    in
+    go 0
+
 let decode_exn w =
   match decode w with
   | Ok i -> i

@@ -94,6 +94,10 @@ val defs : t -> Reg.t list
 val uses : t -> Reg.t list
 (** Registers read. [Reg.zero] is never reported. *)
 
+val reg_bit : Reg.t -> int
+(** The register's bit in a {!defs_mask}/{!uses_mask}-style set: [1 lsl i]
+    for register [i], and [0] for [Reg.zero], which no set ever holds. *)
+
 val defs_mask : t -> int
 (** {!defs} as a register bitmask: bit [i] set iff register [i] is
     written. Agrees with [defs] exactly; the allocation-free form the

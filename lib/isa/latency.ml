@@ -10,8 +10,6 @@ let latency = function
   | Insn.Op { op = Mulq; _ } -> 8
   | _ -> 1
 
-let intersects xs ys = List.exists (fun x -> List.exists (Reg.equal x) ys) xs
-
 let can_pair a b =
   pipe_of a <> pipe_of b
   && (not (Insn.is_branch a))
@@ -19,5 +17,4 @@ let can_pair a b =
   && (match a with Insn.Call_pal _ -> false | _ -> true)
   && (match b with Insn.Call_pal _ -> false | _ -> true)
   &&
-  let da = Insn.defs a in
-  (not (intersects da (Insn.uses b))) && not (intersects da (Insn.defs b))
+  Insn.defs_mask a land (Insn.uses_mask b lor Insn.defs_mask b) = 0

@@ -1,6 +1,6 @@
 type node = {
-  defs : Reg.t list;
-  uses : Reg.t list;
+  defs : int;
+  uses : int;
   reads_mem : bool;
   writes_mem : bool;
   barrier : bool;
@@ -16,37 +16,34 @@ let node_of_insn ?barrier insn =
         Insn.is_branch insn
         || match insn with Insn.Call_pal _ -> true | _ -> false)
   in
-  { defs = Insn.defs insn;
-    uses = Insn.uses insn;
+  { defs = Insn.defs_mask insn;
+    uses = Insn.uses_mask insn;
     reads_mem = Insn.is_load insn;
     writes_mem = Insn.is_store insn;
     barrier;
     latency = Latency.latency insn;
     pipe = Latency.pipe_of insn }
 
-let intersects xs ys = List.exists (fun x -> List.exists (Reg.equal x) ys) xs
-
 (* Must node [b] (later in program order) stay after node [a]?
-   Returns the minimum issue-cycle separation, or None if independent. *)
+   Returns the minimum issue-cycle separation, or -1 if independent. *)
 let dep_weight ~(a : node) ~(b : node) =
-  if intersects a.defs b.uses then Some a.latency (* RAW: wait for result *)
+  if a.defs land b.uses <> 0 then a.latency (* RAW: wait for result *)
   else if
     a.barrier || b.barrier
-    || intersects a.uses b.defs (* WAR *)
-    || intersects a.defs b.defs (* WAW *)
+    || a.uses land b.defs <> 0 (* WAR *)
+    || a.defs land b.defs <> 0 (* WAW *)
     || (a.writes_mem && (b.reads_mem || b.writes_mem))
     || (b.writes_mem && a.reads_mem)
-  then Some 1
-  else None
+  then 1
+  else -1
 
 let build_deps nodes =
   let n = Array.length nodes in
   let preds = Array.make n [] in
   for j = 0 to n - 1 do
     for i = 0 to j - 1 do
-      match dep_weight ~a:nodes.(i) ~b:nodes.(j) with
-      | Some w -> preds.(j) <- (i, w) :: preds.(j)
-      | None -> ()
+      let w = dep_weight ~a:nodes.(i) ~b:nodes.(j) in
+      if w >= 0 then preds.(j) <- (i, w) :: preds.(j)
     done
   done;
   preds
@@ -133,9 +130,9 @@ let is_valid_order nodes perm =
   let ok = ref true in
   for j = 0 to n - 1 do
     for i = 0 to j - 1 do
-      match dep_weight ~a:nodes.(i) ~b:nodes.(j) with
-      | Some _ -> if position.(i) >= position.(j) then ok := false
-      | None -> ()
+      if dep_weight ~a:nodes.(i) ~b:nodes.(j) >= 0
+         && position.(i) >= position.(j)
+      then ok := false
     done
   done;
   !ok

@@ -12,8 +12,8 @@
     height it prefers one that can pair with the previously chosen node. *)
 
 type node = {
-  defs : Reg.t list;
-  uses : Reg.t list;
+  defs : int;       (** registers written, as an {!Insn.defs_mask} *)
+  uses : int;       (** registers read, as an {!Insn.uses_mask} *)
   reads_mem : bool;
   writes_mem : bool;
   barrier : bool;   (** e.g. calls, PAL gates, pinned instructions *)

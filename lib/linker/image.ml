@@ -67,9 +67,9 @@ let validate t =
     else Ok ()
   in
   let* () =
-    match Isa.Decode.of_bytes t.text with
-    | Ok _ -> Ok ()
-    | Error e -> fail "undecodable text: %a" Isa.Decode.pp_error e
+    match Isa.Decode.check t.text with
+    | Ok () -> Ok ()
+    | Error e -> fail "undecodable text: %a" Isa.Decode.pp_stream_error e
   in
   let sorted =
     List.sort

@@ -31,21 +31,43 @@ type callsite = {
       (** the GP-reset [ldah]/[lda] pair anchored just after this call *)
 }
 
+type index = {
+  bodies : Symbolic.node array array;  (** per program proc, body order *)
+  node_proc : int array;
+      (** per node id: index of the procedure whose body holds the node,
+          or [-1] *)
+  node_pos : int array;  (** per node id: position in that body *)
+  label_proc : int array;
+      (** per label: procedure of the node carrying it, or [-1] *)
+  label_pos : int array;  (** per label: position of that node *)
+}
+(** Dense tables over the program as the analysis saw it. They rely on
+    node ids and labels being handed out densely by {!Symbolic.make_node}
+    and {!Symbolic.fresh_label}. *)
+
+val index : Symbolic.program -> index
+
+val find_node : index -> proc:int -> int -> Symbolic.node option
+(** [find_node ix ~proc nid] is the node with id [nid] if procedure
+    [proc]'s body holds it, in O(1); [None] for a node of another
+    procedure or an unknown id. *)
+
+val label_home : index -> Symbolic.label -> (int * Symbolic.node) option
+(** The (procedure, node) a label is bound to. *)
+
 type t = {
   program : Symbolic.program;
+  index : index;
   callsites : callsite list;
   address_taken : bool array;
       (** per {!Linker.Resolve.t} proc index: address escapes into data or
           a register *)
-  gatload_status : (int, use_status) Hashtbl.t;
-      (** per [Gatload] node id, for non-jsr loads *)
-  live_out : (int, int) Hashtbl.t;
-      (** per node id: registers live after it, as a bitmask *)
-  label_home : (Symbolic.label, int * Symbolic.node) Hashtbl.t;
-      (** label -> (proc index, node carrying it) *)
+  gatload_status : use_status option array;
+      (** per node id: [Some] exactly for [Gatload] nodes *)
+  live_out : int array;
+      (** per node id: registers live after it, as an
+          {!Isa.Insn.defs_mask}-style bitmask *)
 }
-
-val reg_bit : Isa.Reg.t -> int
 
 val run :
   ?local_only:bool ->

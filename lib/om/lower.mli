@@ -12,7 +12,8 @@ type options = { align_branch_targets : bool }
 val default_options : options
 
 type placement = {
-  node_off : (int, int) Hashtbl.t;  (** nid -> text offset *)
+  node_off : int array;
+      (** per node id: text offset, or [-1] for a node in no body *)
   proc_off : int array;             (** per program proc *)
   proc_end : int array;
   pad_offsets : int list;           (** offsets where an alignment no-op goes *)
@@ -27,8 +28,12 @@ val place : ?options:options -> Symbolic.program -> placement
     the options ask for it), honouring each node's current
     {!Symbolic.insn_of_width}. *)
 
-val label_offsets :
-  Symbolic.program -> placement -> (Symbolic.label, int) Hashtbl.t
+val label_offsets : Symbolic.program -> placement -> int array
+(** Per label: the text offset of the node carrying it, or [-1]. *)
+
+val label_offset : int array -> Symbolic.label -> int
+(** Look a label up in {!label_offsets}' table; [-1] when unbound,
+    including for a label the table does not cover. *)
 
 type gat_alloc = {
   ga_tables : (Symbolic.pool_key, int) Hashtbl.t array;

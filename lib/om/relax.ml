@@ -169,11 +169,10 @@ let run ?(options = Lower.default_options) (program : S.program)
       S.iter_nodes program (fun proc n ->
           match n.S.insn with
           | S.Branch { insn; target } -> (
-              match
-                ( Hashtbl.find_opt placement.Lower.node_off n.S.nid,
-                  Hashtbl.find_opt labels target )
-              with
-              | Some off, Some toff -> (
+              let off = placement.Lower.node_off.(n.S.nid) in
+              match Lower.label_offset labels target with
+              | -1 -> () (* undefined label: lowering reports it *)
+              | toff -> (
                   match insn with
                   | I.Br { ra; _ }
                     when R.equal ra R.zero && toff = off + 4 ->
@@ -201,8 +200,7 @@ let run ?(options = Lower.default_options) (program : S.program)
                         stats.Stats.sites_grown <-
                           stats.Stats.sites_grown + 1;
                         changed := true
-                      end)
-              | _ -> () (* undefined label: lowering reports it *))
+                      end))
           | _ -> ());
       if !changed then
         if stats.Stats.relax_iterations >= max_iter then

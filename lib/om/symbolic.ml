@@ -71,8 +71,6 @@ let insn_of_width = function
   | Elided _ -> 0
   | _ -> 1
 
-let find_node proc id = List.find_opt (fun n -> n.nid = id) proc.body
-
 let iter_nodes p f =
   Array.iter (fun proc -> List.iter (f proc) proc.body) p.procs
 
@@ -113,6 +111,28 @@ let uses = function
   | Bsr_far _ | Br_far _ -> []
   | Bcond_far { ra; _ } -> List.filter (fun r -> not (R.equal r R.zero)) [ ra ]
   | Elided _ -> []
+
+let bit = I.reg_bit
+
+let defs_mask = function
+  | Raw i | Use { insn = i; _ } | Branch { insn = i; _ } | Gprel { insn = i; _ }
+    -> I.defs_mask i
+  | Gatload { ra; _ } | Lea_wide { ra; _ } | Gatload_wide { ra; _ } -> bit ra
+  | Gpsetup_hi _ | Gpsetup_lo -> bit R.gp
+  | Bsr_far { ra; _ } -> bit ra lor bit R.pv
+  | Br_far { ra; _ } -> bit ra lor bit R.at
+  | Bcond_far _ -> bit R.at
+  | Elided _ -> 0
+
+let uses_mask = function
+  | Raw i | Use { insn = i; _ } | Branch { insn = i; _ } -> I.uses_mask i
+  | Gatload _ | Gpsetup_lo | Lea_wide _ | Gatload_wide _ -> bit R.gp
+  | Gpsetup_hi { base; _ } -> bit base
+  | Gprel { insn; part = Pfull | Phi; _ } -> (
+      match insn with I.Stq { ra; _ } -> bit R.gp lor bit ra | _ -> bit R.gp)
+  | Gprel { insn; part = Plo _; _ } -> I.uses_mask insn
+  | Bsr_far _ | Br_far _ | Elided _ -> 0
+  | Bcond_far { ra; _ } -> bit ra
 
 let static_insn_count p =
   Array.fold_left

@@ -75,7 +75,10 @@ type sinsn =
 and part = Pfull | Phi | Plo of int
 
 type node = {
-  nid : int;                    (** unique within the program *)
+  nid : int;
+      (** unique within the program, and dense: only {!make_node} hands
+          out ids, in order from 0, so arrays of [program.next_node]
+          entries can be indexed by them *)
   mutable labels : label list;  (** labels bound to this position *)
   mutable insn : sinsn;
 }
@@ -92,8 +95,8 @@ type proc = {
 type program = {
   world : Linker.Resolve.t;
   mutable procs : proc array;   (** in original text order *)
-  mutable next_label : int;
-  mutable next_node : int;
+  mutable next_label : int;   (** labels are [0, next_label), see {!fresh_label} *)
+  mutable next_node : int;    (** node ids are [0, next_node), see {!make_node} *)
   entry_name : string;
 }
 
@@ -105,14 +108,16 @@ val insn_of_width : sinsn -> int
     [Gatload_wide], 4 for [Bsr_far]/[Br_far], 5 for [Bcond_far], 0 for
     [Elided], 1 otherwise. *)
 
-val find_node : proc -> int -> node option
-(** Find a node of the procedure by id. *)
-
 val iter_nodes : program -> (proc -> node -> unit) -> unit
 
 val defs : sinsn -> Isa.Reg.t list
 val uses : sinsn -> Isa.Reg.t list
 (** Register effects, GP included where applicable. *)
+
+val defs_mask : sinsn -> int
+val uses_mask : sinsn -> int
+(** {!defs}/{!uses} as {!Isa.Insn.defs_mask}-style register bitmasks,
+    computed without building the lists; they agree exactly. *)
 
 val static_insn_count : program -> int
 

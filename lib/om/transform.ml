@@ -17,32 +17,43 @@ let default_options =
     opt_setup_motion = true;
     opt_setup_deletion = true }
 
-(* Remove a node, handing its labels to the following instruction so that
-   branch targets stay meaningful. *)
-let delete_node (proc : S.proc) (dead : S.node) =
-  let rec go = function
-    | [] -> []
-    | n :: rest when n == dead -> (
-        match rest with
-        | next :: _ ->
-            next.S.labels <- dead.S.labels @ next.S.labels;
-            rest
-        | [] ->
-            (* deleting the final instruction would orphan its labels;
-               degrade to a no-op instead (does not arise in practice) *)
-            dead.S.insn <- S.Raw I.nop;
-            [ dead ])
-    | n :: rest -> n :: go rest
+(* Deletion is batched: the transform only marks nodes dead, and [sweep]
+   rebuilds each touched body once at the end. A dead node's labels pass
+   to the next surviving instruction so branch targets stay meaningful;
+   a dead final instruction would orphan its labels, so it degrades to a
+   no-op instead (does not arise in practice). Until the sweep, readers of
+   a body's head see it through [live], which skips what the sweep will
+   drop. *)
+let rec live is_dead = function
+  | n :: (_ :: _ as rest) when is_dead n -> live is_dead rest
+  | l -> l
+
+let sweep is_dead (proc : S.proc) =
+  let rec go pending acc = function
+    | [] -> List.rev acc
+    | [ (n : S.node) ] when is_dead n ->
+        n.S.labels <- pending @ n.S.labels;
+        n.S.insn <- S.Raw I.nop;
+        List.rev (n :: acc)
+    | (n : S.node) :: rest when is_dead n -> go (pending @ n.S.labels) acc rest
+    | n :: rest ->
+        if pending <> [] then n.S.labels <- pending @ n.S.labels;
+        go [] (n :: acc) rest
   in
-  proc.S.body <- go proc.S.body
+  proc.S.body <- go [] [] proc.S.body
+
+let setup_pair ~is_dead body =
+  match live is_dead body with
+  | ({ S.insn = S.Gpsetup_hi { anchor = S.Aentry; lo_id; _ }; _ } as hi)
+    :: rest -> (
+      match live is_dead rest with
+      | ({ S.insn = S.Gpsetup_lo; _ } as lo) :: _ when lo.S.nid = lo_id ->
+          Some (hi, lo)
+      | _ -> None)
+  | _ -> None
 
 let setup_at_entry (proc : S.proc) =
-  match proc.S.body with
-  | ({ S.insn = S.Gpsetup_hi { anchor = S.Aentry; lo_id; _ }; _ } as hi)
-    :: ({ S.insn = S.Gpsetup_lo; _ } as lo)
-    :: _
-    when lo.S.nid = lo_id -> Some (hi, lo)
-  | _ -> None
+  setup_pair ~is_dead:(fun _ -> false) proc.S.body
 
 let move_setups_to_entry (program : S.program) =
   Array.iter
@@ -52,10 +63,10 @@ let move_setups_to_entry (program : S.program) =
           List.find_map
             (fun (n : S.node) ->
               match n.S.insn with
-              | S.Gpsetup_hi { anchor = S.Aentry; lo_id; _ } -> (
-                  match S.find_node proc lo_id with
-                  | Some lo -> Some (n, lo)
-                  | None -> None)
+              | S.Gpsetup_hi { anchor = S.Aentry; lo_id; _ } ->
+                  List.find_opt (fun (lo : S.node) -> lo.S.nid = lo_id)
+                    proc.S.body
+                  |> Option.map (fun lo -> (n, lo))
               | _ -> None)
             proc.S.body
         in
@@ -81,29 +92,25 @@ let move_setups_to_entry (program : S.program) =
         | _ -> ())
     program.S.procs
 
-(* Per-procedure node positions (analysis-time order), for the locality
-   restriction OM-simple puts on GP-reset nullification. *)
-let positions (program : S.program) =
-  let pos = Hashtbl.create 1024 in
-  Array.iter
-    (fun (proc : S.proc) ->
-      List.iteri (fun i (n : S.node) -> Hashtbl.replace pos n.S.nid i)
-        proc.S.body)
-    program.S.procs;
-  pos
-
 let run ?(options = default_options) ?section_live level
     (program : S.program) (plan : Datalayout.plan) (stats : Stats.t) =
   if level = Full && options.opt_setup_motion then move_setups_to_entry program;
   let als = Analysis.run ~local_only:(level = Simple) ?section_live program in
   Stats.measure_before program als stats;
   let world = program.S.world in
-  let pos = positions program in
-  let sym_of_world = Hashtbl.create 64 in
+  let nprocs = Array.length world.Linker.Resolve.procs in
+  let sym_of_world = Array.make nprocs None in
   Array.iter
-    (fun (proc : S.proc) -> Hashtbl.replace sym_of_world proc.S.sp_index proc)
+    (fun (proc : S.proc) -> sym_of_world.(proc.S.sp_index) <- Some proc)
     program.S.procs;
   let group_of (proc : S.proc) = plan.Datalayout.group_of_module.(proc.S.sp_module) in
+  let dead = Array.make program.S.next_node false in
+  let is_dead (n : S.node) = dead.(n.S.nid) in
+  let touched = Array.make nprocs false in
+  let delete_node (proc : S.proc) (n : S.node) =
+    dead.(n.S.nid) <- true;
+    touched.(proc.S.sp_index) <- true
+  in
   let nullify (proc : S.proc) (n : S.node) =
     match level with
     | Simple ->
@@ -114,28 +121,31 @@ let run ?(options = default_options) ?section_live level
         stats.Stats.insns_deleted <- stats.Stats.insns_deleted + 1
   in
   (* skip labels: branch target just past a callee's entry GP setup *)
-  let skip_labels = Hashtbl.create 16 in
+  let skip_labels = Array.make nprocs (-1) in
   let proc_skip_point (callee : S.proc) =
-    match callee.S.body with
-    | _hi :: _lo :: next :: _ -> Some next
-    | _ -> None
+    match live is_dead callee.S.body with
+    | _hi :: rest -> (
+        match live is_dead rest with
+        | _lo :: rest -> (
+            match live is_dead rest with next :: _ -> Some next | [] -> None)
+        | [] -> None)
+    | [] -> None
   in
   let skip_label (callee : S.proc) =
-    match Hashtbl.find_opt skip_labels callee.S.sp_index with
-    | Some l -> l
-    | None -> (
+    match skip_labels.(callee.S.sp_index) with
+    | -1 -> (
         match proc_skip_point callee with
         | Some node ->
             let l = S.fresh_label program in
             node.S.labels <- l :: node.S.labels;
-            Hashtbl.replace skip_labels callee.S.sp_index l;
+            skip_labels.(callee.S.sp_index) <- l;
             l
         | None -> callee.S.entry_label)
+    | l -> l
   in
   (* --- call sites --- *)
-  let nprocs = Array.length world.Linker.Resolve.procs in
   let entered_at_entry = Array.make nprocs false in
-  let handled_loads = Hashtbl.create 64 in
+  let handled_loads = Array.make program.S.next_node false in
   List.iter
     (fun (cs : Analysis.callsite) ->
       let caller = program.S.procs.(cs.cs_proc) in
@@ -152,10 +162,9 @@ let run ?(options = default_options) ?section_live level
             let local_enough =
               level = Full
               ||
-              let p n = Hashtbl.find_opt pos n.S.nid in
-              match (p cs.cs_node, p hi, p lo) with
-              | Some c, Some ph, Some pl -> ph - c <= 4 && pl - c <= 4
-              | _ -> false
+              (* positions as analysed: OM-simple moves nothing *)
+              let p (n : S.node) = als.Analysis.index.Analysis.node_pos.(n.S.nid) in
+              p hi - p cs.cs_node <= 4 && p lo - p cs.cs_node <= 4
             in
             if (same_group || callee_no_gp) && local_enough then begin
               nullify caller hi;
@@ -186,11 +195,11 @@ let run ?(options = default_options) ?section_live level
           (* compiled as an optimized local call already *)
           (match cs.cs_node.S.insn with
           | S.Branch { target; _ } -> (
-              match Hashtbl.find_opt als.Analysis.label_home target with
+              match Analysis.label_home als.Analysis.index target with
               | Some (tpi, tnode) ->
                   let tproc = program.S.procs.(tpi) in
                   let enters_entry =
-                    match tproc.S.body with
+                    match live is_dead tproc.S.body with
                     | first :: _ -> first == tnode
                     | [] -> false
                   in
@@ -202,7 +211,7 @@ let run ?(options = default_options) ?section_live level
           | _ -> ());
           keep_reset ()
       | Analysis.Direct { callee; via = `Jsr load } -> (
-          match Hashtbl.find_opt sym_of_world callee with
+          match sym_of_world.(callee) with
           | None ->
               (* callee not lifted: leave the site untouched *)
               stats.Stats.calls_pv_after <- stats.Stats.calls_pv_after + 1;
@@ -214,12 +223,14 @@ let run ?(options = default_options) ?section_live level
               let same_group = group_of caller = group_of callee_sym in
               let target, pv_removable =
                 if not callee_w.p_uses_gp then (callee_sym.S.entry_label, true)
-                else if same_group && Option.is_some (setup_at_entry callee_sym)
+                else if
+                  same_group
+                  && Option.is_some (setup_pair ~is_dead callee_sym.S.body)
                 then (skip_label callee_sym, true)
                 else (callee_sym.S.entry_label, false)
               in
               let pv_clean =
-                match Hashtbl.find_opt als.Analysis.gatload_status load.S.nid with
+                match als.Analysis.gatload_status.(load.S.nid) with
                 | Some (Analysis.All_marked us) ->
                     us <> [] && List.for_all (fun u -> u == cs.cs_node) us
                 | _ -> false
@@ -227,7 +238,7 @@ let run ?(options = default_options) ?section_live level
               (* the jsr becomes a bsr in either case *)
               cs.cs_node.S.insn <-
                 S.Branch { insn = I.Bsr { ra = R.ra; disp = 0 }; target };
-              Hashtbl.replace handled_loads load.S.nid ();
+              handled_loads.(load.S.nid) <- true;
               if pv_removable && pv_clean then begin
                 nullify caller load;
                 stats.Stats.addr_nullified <- stats.Stats.addr_nullified + 1;
@@ -250,11 +261,9 @@ let run ?(options = default_options) ?section_live level
         (fun (load : S.node) ->
           match load.S.insn with
           | S.Gatload { ra; key = S.Paddr ((Linker.Resolve.Tobj _ as target), key_addend) }
-            when not (Hashtbl.mem handled_loads load.S.nid) -> (
+            when not handled_loads.(load.S.nid) -> (
               let addr = Datalayout.address_of world plan target + key_addend in
-              let status =
-                Hashtbl.find_opt als.Analysis.gatload_status load.S.nid
-              in
+              let status = als.Analysis.gatload_status.(load.S.nid) in
               (* a use is foldable when its base really is the loaded value
                  and the resulting displacement fits *)
               let use_mem_parts (u : S.node) =
@@ -349,7 +358,7 @@ let run ?(options = default_options) ?section_live level
           && p <> world.Linker.Resolve.entry_proc
           && not entered_at_entry.(p)
         then
-          match setup_at_entry proc with
+          match setup_pair ~is_dead proc.S.body with
           | Some (hi, lo) ->
               delete_node proc hi;
               delete_node proc lo;
@@ -357,5 +366,8 @@ let run ?(options = default_options) ?section_live level
               stats.Stats.gp_setups_deleted <- stats.Stats.gp_setups_deleted + 1
           | None -> ())
       program.S.procs;
+  Array.iter
+    (fun (proc : S.proc) -> if touched.(proc.S.sp_index) then sweep is_dead proc)
+    program.S.procs;
   stats.Stats.insns_after <- S.static_insn_count program;
   als

@@ -10,15 +10,53 @@ let image (img : Linker.Image.t) =
   let problem at fmt =
     Format.kasprintf (fun what -> issues := { at; what } :: !issues) fmt
   in
-  match Isa.Decode.of_bytes img.Linker.Image.text with
+  let text = img.Linker.Image.text in
+  match Isa.Decode.check text with
   | Error e ->
       [ { at = img.text_base;
-          what = Format.asprintf "text does not decode: %a" Isa.Decode.pp_error e } ]
-  | Ok insns_list ->
-      let insns = Array.of_list insns_list in
-      let text_end = img.text_base + (4 * Array.length insns) in
+          what =
+            Format.asprintf "text does not decode: %a"
+              Isa.Decode.pp_stream_error e } ]
+  | Ok () ->
+      (* every word decodes, so instructions are decoded on demand *)
+      let insn k = Isa.Decode.decode_exn (Isa.Decode.word text k) in
+      let nslots = Bytes.length text / 4 in
+      let text_end = img.text_base + (4 * nslots) in
       let data_end = img.data_base + Bytes.length img.Linker.Image.data in
-      let proc_of addr = Linker.Image.proc_containing img addr in
+      (* procedure descriptors must cover whole instruction slots inside
+         text; the rest of the checks index text through them *)
+      let well_formed (p : Linker.Image.proc_info) =
+        let ok =
+          p.entry >= img.text_base
+          && p.size >= 0
+          && p.entry + p.size <= text_end
+          && (p.entry - img.text_base) land 3 = 0
+          && p.size land 3 = 0
+        in
+        if not ok then
+          problem p.entry "%s: descriptor [%#x, +%d) is not whole instructions \
+                           inside text"
+            p.name p.entry p.size;
+        ok
+      in
+      let procs =
+        Array.of_list (List.filter well_formed (Array.to_list img.procs))
+      in
+      (* the procedure owning each instruction slot, or -1; where
+         descriptors overlap, the first one in the table wins *)
+      let owner = Array.make nslots (-1) in
+      for i = Array.length procs - 1 downto 0 do
+        let p = procs.(i) in
+        let first = (p.entry - img.text_base) / 4 in
+        Array.fill owner first (p.size / 4) i
+      done;
+      let proc_of addr =
+        if addr < img.text_base || addr >= text_end then None
+        else
+          match owner.((addr - img.text_base) / 4) with
+          | -1 -> None
+          | i -> Some procs.(i)
+      in
       (* entry *)
       (match proc_of img.entry with
       | Some p when p.entry = img.entry -> ()
@@ -29,7 +67,7 @@ let image (img : Linker.Image.t) =
       let only_nops_between a b =
         let rec go addr =
           addr >= b
-          || (I.is_nop insns.((addr - img.text_base) / 4) && go (addr + 4))
+          || (I.is_nop (insn ((addr - img.text_base) / 4)) && go (addr + 4))
         in
         a <= b && go a
       in
@@ -59,18 +97,21 @@ let image (img : Linker.Image.t) =
           in
           (* the gp_setup_at_entry flag must match the bytes *)
           (if p.gp_setup_at_entry then
-             match (insns.(first), insns.(first + 1)) with
-             | I.Ldah { ra = r1; _ }, I.Lda { ra = r2; rb; _ }
+             match
+               if first + 1 < nslots then Some (insn first, insn (first + 1))
+               else None
+             with
+             | Some (I.Ldah { ra = r1; _ }, I.Lda { ra = r2; rb; _ })
                when R.equal r1 R.gp && R.equal r2 R.gp && R.equal rb R.gp -> ()
              | _ ->
                  problem p.entry "%s: gp_setup_at_entry but no pair at entry"
                    p.name);
           for k = first to first + count - 1 do
             let addr = img.text_base + (4 * k) in
-            match insns.(k) with
+            match insn k with
             | I.Br { ra = r; disp = 0 }
               when (not (R.equal r R.zero)) && k + 3 < first + count -> (
-                match (insns.(k + 1), insns.(k + 2), insns.(k + 3)) with
+                match (insn (k + 1), insn (k + 2), insn (k + 3)) with
                 | ( I.Ldah { ra = a1; rb = b1; disp = hi },
                     I.Lda { ra = a2; rb = b2; disp = lo },
                     I.Jump { rb = j; _ } )
@@ -110,7 +151,7 @@ let image (img : Linker.Image.t) =
                   let rec follow j =
                     if j < first + count then
                       let jaddr = img.text_base + (4 * j) in
-                      match insns.(j) with
+                      match insn j with
                       | I.Jump { rb; _ } when R.equal rb rdest -> (
                           match proc_of value with
                           | Some tp when valid_cross_target tp value -> ()
@@ -127,12 +168,12 @@ let image (img : Linker.Image.t) =
                               "memory access via GAT slot %#x: address %#x \
                                outside data"
                               a ea;
-                          if List.exists (R.equal rdest) (I.defs i) then ()
+                          if I.defs_mask i land I.reg_bit rdest <> 0 then ()
                           else follow (j + 1)
                       | i ->
                           if
                             I.is_branch i
-                            || List.exists (R.equal rdest) (I.defs i)
+                            || I.defs_mask i land I.reg_bit rdest <> 0
                           then ()
                           else follow (j + 1)
                   in
@@ -163,7 +204,7 @@ let image (img : Linker.Image.t) =
                 let rec find_lo j =
                   if j >= first + count then None
                   else
-                    match insns.(j) with
+                    match insn j with
                     | I.Lda { ra; rb; disp }
                       when R.equal ra R.gp && R.equal rb R.gp -> Some disp
                     | _ -> find_lo (j + 1)
@@ -178,7 +219,7 @@ let image (img : Linker.Image.t) =
                 | None -> problem addr "%s: ldah gp,(pv) without its lda" p.name)
             | _ -> ()
           done)
-        img.procs;
+        procs;
       List.rev !issues
 
 let check img =

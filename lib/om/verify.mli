@@ -7,7 +7,9 @@
     produced them. The tests run every link configuration through it.
 
     Checks:
-    - the text decodes, and every PC-relative branch lands on an
+    - the text is a whole number of decodable words, and every procedure
+      descriptor covers whole instructions inside it;
+    - every PC-relative branch lands on an
       instruction boundary inside the same procedure or on a procedure
       entry / post-GP-setup point of another one;
     - relaxed far-branch sequences ([br r, 0]; [ldah r, hi(r)];

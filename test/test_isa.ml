@@ -214,6 +214,78 @@ let test_pairing () =
   Alcotest.(check bool) "two ops do not pair (same pipe)" false
     (Isa.Latency.can_pair op (I.Op { op = I.Subq; ra = R.t3; rb = I.Imm 1; rc = R.t4 }))
 
+(* [decodable] is [decode]'s success predicate, over every opcode, every
+   function field and every jump kind *)
+let test_decodable_agrees () =
+  for opcode = 0 to 63 do
+    for funct = 0 to 127 do
+      for kind = 0 to 3 do
+        let w = (opcode lsl 26) lor (kind lsl 14) lor (funct lsl 5) lor 0x1f in
+        Alcotest.(check bool)
+          (Printf.sprintf "word %#x" w)
+          (Result.is_ok (Isa.Decode.decode w))
+          (Isa.Decode.decodable w)
+      done
+    done
+  done
+
+let test_stream_check () =
+  let words ws =
+    let b = Bytes.create (4 * List.length ws) in
+    List.iteri (fun k w -> Bytes.set_int32_le b (4 * k) (Int32.of_int w)) ws;
+    b
+  in
+  let nop = Isa.Encode.insn I.nop in
+  let result =
+    Alcotest.testable
+      (fun ppf -> function
+        | Ok () -> Format.fprintf ppf "Ok"
+        | Error e -> Isa.Decode.pp_stream_error ppf e)
+      ( = )
+  in
+  Alcotest.check result "empty" (Ok ()) (Isa.Decode.check Bytes.empty);
+  Alcotest.check result "whole words" (Ok ()) (Isa.Decode.check (words [ nop; nop ]));
+  Alcotest.check result "odd length"
+    (Error (Isa.Decode.Truncated { length = 7 }))
+    (Isa.Decode.check (Bytes.sub (words [ nop; nop ]) 0 7));
+  Alcotest.check result "bad word at its offset"
+    (Error
+       (Isa.Decode.Undecodable
+          { offset = 4; error = Isa.Decode.Bad_opcode 0x3 }))
+    (Isa.Decode.check (words [ nop; 0x3 lsl 26; nop ]))
+
+let mask_of_regs regs =
+  List.fold_left (fun m r -> m lor I.reg_bit r) 0 regs
+
+(* the scheduler's dependence masks are exactly the instruction's
+   defs/uses lists *)
+let test_schedule_node_masks () =
+  List.iter
+    (fun insn ->
+      let node = Isa.Schedule.node_of_insn insn in
+      Alcotest.(check int)
+        (Format.asprintf "defs mask of %a" I.pp insn)
+        (mask_of_regs (I.defs insn)) node.Isa.Schedule.defs;
+      Alcotest.(check int)
+        (Format.asprintf "uses mask of %a" I.pp insn)
+        (mask_of_regs (I.uses insn)) node.Isa.Schedule.uses)
+    [ I.Lda { ra = R.t0; rb = R.sp; disp = 8 };
+      I.Lda { ra = R.zero; rb = R.zero; disp = 0 };
+      I.Ldah { ra = R.gp; rb = R.t11; disp = 1 };
+      I.Ldq { ra = R.a0; rb = R.gp; disp = -16 };
+      I.Stq { ra = R.t1; rb = R.sp; disp = 0 };
+      I.Stq { ra = R.zero; rb = R.sp; disp = 0 };
+      I.Br { ra = R.zero; disp = 3 };
+      I.Bsr { ra = R.ra; disp = -2 };
+      I.Bcond { cond = I.Beq; ra = R.t2; disp = 1 };
+      I.Jump { kind = I.Jsr; ra = R.ra; rb = R.pv; hint = 0 };
+      I.Jump { kind = I.Ret; ra = R.zero; rb = R.ra; hint = 0 };
+      I.Op { op = I.Addq; ra = R.t0; rb = I.Rb R.t1; rc = R.t2 };
+      I.Op { op = I.Subq; ra = R.t3; rb = I.Imm 5; rc = R.zero };
+      I.Op { op = I.Mulq; ra = R.t3; rb = I.Rb R.t3; rc = R.t3 };
+      I.Call_pal 0x83;
+      I.nop ]
+
 let suite =
   ( "isa",
     [ Alcotest.test_case "roundtrip examples" `Quick test_roundtrip_examples;
@@ -232,4 +304,9 @@ let suite =
       Testutil.qtest prop_encode_32bit;
       Testutil.qtest prop_decode_total;
       Testutil.qtest prop_split32;
-      Testutil.qtest prop_schedule_valid ] )
+      Testutil.qtest prop_schedule_valid;
+      Alcotest.test_case "decodable agrees with decode" `Quick
+        test_decodable_agrees;
+      Alcotest.test_case "stream check errors" `Quick test_stream_check;
+      Alcotest.test_case "schedule node masks match lists" `Quick
+        test_schedule_node_masks ] )

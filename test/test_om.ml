@@ -528,11 +528,52 @@ let test_verify_catches_broken_gpdisp () =
   | Some (j, bad) ->
       expect_issue "gpdisp" "GP setup computes" (patch_insn image j bad)
 
+(* Damaged images the verifier and the loader check must report as
+   issues, never raise on. *)
+let test_verify_damaged_images_total () =
+  let world = world_of {|func main() { io_putint(isqrt(81)); return 0; }|} in
+  let { Om.image; _ } = om_level Om.Full world in
+  let with_proc f =
+    let procs = Array.copy image.Linker.Image.procs in
+    procs.(0) <- f procs.(0);
+    { image with Linker.Image.procs }
+  in
+  let text = image.Linker.Image.text in
+  List.iter
+    (fun (what, damaged, verify_says) ->
+      (match Om.Verify.check damaged with
+      | Ok () -> Alcotest.failf "%s: verifier passed it" what
+      | Error m ->
+          if not (str_contains m verify_says) then
+            Alcotest.failf "%s: flagged for another reason: %s" what m
+      | exception e ->
+          Alcotest.failf "%s: verifier raised %s" what (Printexc.to_string e));
+      match Linker.Image.validate damaged with
+      | Ok () -> Alcotest.failf "%s: validate passed it" what
+      | Error _ -> ()
+      | exception e ->
+          Alcotest.failf "%s: validate raised %s" what (Printexc.to_string e))
+    [ ( "text truncated by one byte",
+        { image with
+          Linker.Image.text = Bytes.sub text 0 (Bytes.length text - 1) },
+        "not a multiple of 4" );
+      ( "descriptor runs past text",
+        with_proc (fun p ->
+            { p with
+              Linker.Image.size =
+                image.Linker.Image.text_base + Bytes.length text - p.entry + 8 }),
+        "inside text" );
+      ( "descriptor entry below text",
+        with_proc (fun p -> { p with Linker.Image.entry = image.text_base - 64 }),
+        "inside text" ) ]
+
 let suite =
   let name, cases = suite in
   ( name,
     cases
-    @ [ Alcotest.test_case "verifier passes all levels" `Quick
+    @ [ Alcotest.test_case "damaged images are reported, not raised" `Quick
+          test_verify_damaged_images_total;
+        Alcotest.test_case "verifier passes all levels" `Quick
           test_verify_all_levels;
         Alcotest.test_case "verifier catches corruption" `Quick
           test_verify_catches_corruption;
