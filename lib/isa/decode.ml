@@ -116,31 +116,39 @@ let decode_exn w =
   | Ok i -> i
   | Error e -> invalid_arg (Format.asprintf "Decode.decode_exn: %a" pp_error e)
 
-let of_bytes b =
-  if Bytes.length b mod 4 <> 0 then
-    invalid_arg "Decode.of_bytes: length not a multiple of 4";
-  let n = Bytes.length b / 4 in
-  let rec go idx acc =
-    if idx = n then Ok (List.rev acc)
-    else
-      let w = Int32.to_int (Bytes.get_int32_le b (4 * idx)) land 0xffffffff in
-      match decode w with Ok i -> go (idx + 1) (i :: acc) | Error e -> Error e
-  in
-  go 0 []
+let stream_error_offset = function
+  | Truncated { length } -> length land lnot 3
+  | Undecodable { offset; _ } -> offset
 
-let of_bytes_loc b =
-  if Bytes.length b mod 4 <> 0 then
-    invalid_arg "Decode.of_bytes_loc: length not a multiple of 4";
-  let n = Bytes.length b / 4 in
-  let out = Array.make n Insn.nop in
-  let rec go idx =
-    if idx = n then Ok out
-    else
-      let w = Int32.to_int (Bytes.get_int32_le b (4 * idx)) land 0xffffffff in
-      match decode w with
-      | Ok i ->
-          out.(idx) <- i;
-          go (idx + 1)
-      | Error e -> Error (4 * idx, e)
-  in
-  go 0
+let of_bytes b =
+  let len = Bytes.length b in
+  if len land 3 <> 0 then Error (Truncated { length = len })
+  else
+    let n = len / 4 in
+    let out = Array.make n Insn.nop in
+    let rec go k =
+      if k = n then Ok out
+      else
+        match decode (word b k) with
+        | Ok i ->
+            out.(k) <- i;
+            go (k + 1)
+        | Error error -> Error (Undecodable { offset = 4 * k; error })
+    in
+    go 0
+
+type kind = Lda | Ldah | Ldq | Stq | Branch | Other
+
+let kind w =
+  match (w land 0xffffffff) lsr 26 with
+  | 0x08 -> Lda
+  | 0x09 -> Ldah
+  | 0x29 -> Ldq
+  | 0x2d -> Stq
+  | 0x30 | 0x34 | 0x38 | 0x39 | 0x3a | 0x3b | 0x3c | 0x3d | 0x3e | 0x3f ->
+      Branch
+  | _ -> Other
+
+let ra w = Reg.of_int ((w lsr 21) land 0x1f)
+let rb w = Reg.of_int ((w lsr 16) land 0x1f)
+let branch_disp w = sext21 w

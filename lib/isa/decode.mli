@@ -33,11 +33,36 @@ val check : Bytes.t -> (unit, stream_error) result
 (** Whether a byte stream is a whole number of decodable instruction words.
     Total, and allocation-free unless it fails. *)
 
-val of_bytes : Bytes.t -> (Insn.t list, error) result
-(** Decode a little-endian instruction stream; the byte length must be a
-    multiple of 4. *)
+val stream_error_offset : stream_error -> int
+(** Byte offset of the first word that cannot be decoded; for
+    [Truncated], the offset of the partial last word. *)
 
-val of_bytes_loc : Bytes.t -> (Insn.t array, int * error) result
-(** Like {!of_bytes} but into an array, and a failure carries the byte
-    offset of the first undecodable word — so callers can report the real
-    faulting address instead of the stream's base. *)
+val of_bytes : Bytes.t -> (Insn.t array, stream_error) result
+(** Decode a little-endian instruction stream. Total: a length that is
+    not a multiple of 4 is [Truncated], and an undecodable word reports
+    its byte offset, so callers can name the real faulting address
+    instead of the stream's base. *)
+
+(** {1 Raw fields}
+
+    Classifying a word and reading its fields without building the
+    instruction, for callers that scan a whole text and need only a few
+    of its instructions decoded. Meaningful on words that {!decodable}
+    accepts. *)
+
+type kind =
+  | Lda
+  | Ldah
+  | Ldq
+  | Stq
+  | Branch  (** [br], [bsr] and the conditional branches *)
+  | Other
+
+val kind : int -> kind
+
+val ra : int -> Reg.t
+val rb : int -> Reg.t
+(** The memory- and branch-format register fields. *)
+
+val branch_disp : int -> int
+(** The sign-extended 21-bit displacement of a branch-format word. *)

@@ -38,11 +38,11 @@ let insn_count t = Bytes.length t.text / 4
 
 let insns t =
   match Isa.Decode.of_bytes t.text with
-  | Ok is -> Array.of_list is
+  | Ok is -> is
   | Error e ->
       invalid_arg
-        (Format.asprintf "Image.insns: undecodable text: %a" Isa.Decode.pp_error
-           e)
+        (Format.asprintf "Image.insns: undecodable text: %a"
+           Isa.Decode.pp_stream_error e)
 
 let pp_disassembly ppf t =
   let is = insns t in

@@ -41,7 +41,8 @@ val insn_count : t -> int
 (** Static number of instructions in the text segment. *)
 
 val insns : t -> Isa.Insn.t array
-(** Decoded text. Raises [Invalid_argument] on undecodable words. *)
+(** Decoded text. Raises [Invalid_argument], naming the stream error, on
+    undecodable words or truncated text. *)
 
 val pp_disassembly : Format.formatter -> t -> unit
 (** Text segment with procedure labels and addresses. *)

@@ -322,9 +322,11 @@ let cond_true (c : I.cond) v =
 
 let run_reference ?(config = default_config) ?trace ?probe
     (image : Linker.Image.t) =
-  match Isa.Decode.of_bytes_loc image.Linker.Image.text with
-  | Error (off, _) ->
-      Error (Undecodable (image.Linker.Image.text_base + off))
+  match Isa.Decode.of_bytes image.Linker.Image.text with
+  | Error e ->
+      Error
+        (Undecodable
+           (image.Linker.Image.text_base + Isa.Decode.stream_error_offset e))
   | Ok code ->
     let m = create_machine config image in
     boot m image;

@@ -136,6 +136,7 @@ let of_insns (image : Linker.Image.t) insns =
   { image; insns; kind; ra; rb; rc; imm; uses; defs; lat; pipe; flags; target }
 
 let of_image (image : Linker.Image.t) =
-  match Isa.Decode.of_bytes_loc image.Linker.Image.text with
+  match Isa.Decode.of_bytes image.Linker.Image.text with
   | Ok insns -> Ok (of_insns image insns)
-  | Error (off, e) -> Error (image.Linker.Image.text_base + off, e)
+  | Error e ->
+      Error (image.Linker.Image.text_base + Isa.Decode.stream_error_offset e, e)

@@ -63,9 +63,10 @@ type t = {
 val image : t -> Linker.Image.t
 val length : t -> int
 
-val of_image : Linker.Image.t -> (t, int * Isa.Decode.error) result
+val of_image : Linker.Image.t -> (t, int * Isa.Decode.stream_error) result
 (** Decode the image's text. An error carries the absolute PC of the
-    first undecodable instruction word. *)
+    first undecodable instruction word (on truncated text, of the
+    partial last word). *)
 
 val of_insns : Linker.Image.t -> Isa.Insn.t array -> t
 (** Pre-decode an already-decoded instruction array (shared with callers

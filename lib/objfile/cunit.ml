@@ -24,11 +24,11 @@ let make ~name ?(data = Bytes.empty) ?(sdata = Bytes.empty) ?(bss_size = 0)
 
 let insns t =
   match Isa.Decode.of_bytes t.text with
-  | Ok is -> Array.of_list is
+  | Ok is -> is
   | Error e ->
       invalid_arg
         (Format.asprintf "Cunit.insns: undecodable text in %s: %a" t.name
-           Isa.Decode.pp_error e)
+           Isa.Decode.pp_stream_error e)
 
 let insn_count t = Bytes.length t.text / 4
 
@@ -80,14 +80,9 @@ let validate t =
   let ( let* ) = Result.bind in
   let fail fmt = Format.kasprintf (fun m -> Error (t.name ^ ": " ^ m)) fmt in
   let* () =
-    if Bytes.length t.text mod 4 <> 0 then
-      fail "text length %d not a multiple of 4" (Bytes.length t.text)
-    else Ok ()
-  in
-  let* () =
-    match Isa.Decode.of_bytes t.text with
-    | Ok _ -> Ok ()
-    | Error e -> fail "undecodable text: %a" Isa.Decode.pp_error e
+    match Isa.Decode.check t.text with
+    | Ok () -> Ok ()
+    | Error e -> fail "undecodable text: %a" Isa.Decode.pp_stream_error e
   in
   let check_reloc (r : Reloc.t) acc =
     let* () = acc in

@@ -24,8 +24,9 @@ val make :
 (** Build a unit from an instruction list (encoded on the spot). *)
 
 val insns : t -> Isa.Insn.t array
-(** Decode [Text] back to instructions. Raises [Invalid_argument] if the
-    text bytes are not decodable (violating the unit invariant). *)
+(** Decode [Text] back to instructions. Raises [Invalid_argument], naming
+    the unit and the stream error, if the text bytes are truncated or not
+    decodable (violating the unit invariant). *)
 
 val insn_count : t -> int
 

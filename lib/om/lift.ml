@@ -1,4 +1,5 @@
 module I = Isa.Insn
+module D = Isa.Decode
 module S = Symbolic
 
 exception Lift_error of string
@@ -10,17 +11,31 @@ let fail fmt = Format.kasprintf (fun m -> raise (Lift_error m)) fmt
    Lifting splits in two so the expensive half can be cached across
    links (the artifact store keys it by the module's content digest):
 
-   - [lift_module] sees ONE compilation unit and nothing else: it
-     decodes the text, checks procedure coverage and folds the
-     relocations into per-instruction symbolic operations. Symbols stay
+   - [lift_module] sees ONE compilation unit and nothing else: it checks
+     that the text decodes, checks procedure coverage and folds the
+     relocations into a per-instruction hint, reading opcodes and
+     register fields straight from the instruction words. Symbols stay
      by name and labels are module-local, so the result is independent
      of whatever other modules end up in the program.
    - [instantiate] stitches cached module lifts into a program against a
-     resolved world: names resolve to targets, module-local labels and
-     instruction indices become program-wide labels and node ids.
+     resolved world: it decodes each word once, straight into its node;
+     names resolve to targets, module-local labels and instruction
+     indices become program-wide labels and node ids.
 
    Everything in [module_sym] is plain immutable data (no closures, no
-   world references), so [Marshal] round-trips it for the store. *)
+   world references), so [Marshal] round-trips it for the store.
+
+   Both phases keep young pointers out of arrays longer than 256 words:
+   such arrays live in the major heap, and every young value stored in
+   one is promoted at the next minor collection. Per-instruction tables
+   are therefore int arrays, or hold [Plain], a constant constructor, in
+   the common case; instantiation builds each body as a list in text
+   order. *)
+
+(* Bumped whenever [module_sym] changes shape: stored lifts are keyed by
+   it, so a payload written by another format is never unmarshalled at
+   this type. *)
+let format = "lift-2"
 
 type mkey =
   | Maddr of { symbol : string; addend : int }
@@ -28,14 +43,15 @@ type mkey =
 
 type manchor = Mentry | Mlabel of int
 
-type minsn =
-  | Mraw of I.t
-  | Mgatload of { ra : Isa.Reg.t; key : mkey }
-  | Muse of { insn : I.t; load : int; jsr : bool }  (* instruction index *)
-  | Mgpsetup_hi of { base : Isa.Reg.t; anchor : manchor; lo : int }
-  | Mgpsetup_lo
-  | Mbranch of { insn : I.t; target : int }         (* module-local label *)
-  | Mgprel of { insn : I.t; symbol : string; addend : int }
+(* What the relocations say about one instruction. A branch is [Plain]:
+   its word and [ms_labels] give its target. *)
+type hint =
+  | Plain
+  | Literal of mkey                             (* on an [ldq] *)
+  | Lituse of { load : int; jsr : bool }        (* instruction index *)
+  | Gpdisp_hi of { anchor : manchor; lo : int } (* on an [ldah] *)
+  | Gpdisp_lo                                   (* on its [lda] *)
+  | Gprel16 of { symbol : string; addend : int }
 
 type mproc = {
   mp_name : string;
@@ -47,34 +63,43 @@ type mproc = {
 
 type module_sym = {
   ms_module : string;
-  ms_insns : minsn array;       (* one per text instruction, in order *)
+  ms_text : string;             (* the unit's text, checked decodable *)
+  ms_hints : hint array;        (* one per text instruction *)
+  ms_labels : int array;        (* per instruction: its label, or -1 *)
   ms_nlabels : int;
-  ms_label_insn : int array;    (* label id -> instruction index *)
-  ms_procs : mproc array;       (* in text order *)
+  ms_procs : mproc array;       (* in text order, covering the text *)
 }
 
 (* --- phase 1: per-module lift --- *)
 
 let lift_module (u : Objfile.Cunit.t) =
+  let name = u.Objfile.Cunit.name in
   try
-    let insns = Objfile.Cunit.insns u in
-    let n = Array.length insns in
-    let text_len = Bytes.length u.Objfile.Cunit.text in
-    (* labels are addressed by text offset, allocated in first-use order *)
-    let label_table : (int, int) Hashtbl.t = Hashtbl.create 64 in
-    let label_offsets = ref [] in
-    let nlabels = ref 0 in
-    let label_at off =
-      match Hashtbl.find_opt label_table off with
-      | Some l -> l
-      | None ->
-          let l = !nlabels in
-          incr nlabels;
-          Hashtbl.replace label_table off l;
-          label_offsets := off :: !label_offsets;
-          l
+    let text = u.Objfile.Cunit.text in
+    (match D.check text with
+    | Ok () -> ()
+    | Error e ->
+        fail "%s+%#x: undecodable text: %a" name (D.stream_error_offset e)
+          D.pp_stream_error e);
+    let text_len = Bytes.length text in
+    let n = text_len / 4 in
+    let word k = D.word text k in
+    let insn_at ~at what off =
+      if off < 0 || off land 3 <> 0 || off >= text_len then
+        fail "%s+%#x: %s %#x outside module text" name at what off
+      else off / 4
     in
-    let minsns = Array.map (fun i -> Mraw i) insns in
+    (* labels are bound to instructions, numbered in first-use order *)
+    let labels = Array.make n (-1) in
+    let nlabels = ref 0 in
+    let label_at ~at what off =
+      let k = insn_at ~at what off in
+      if labels.(k) < 0 then begin
+        labels.(k) <- !nlabels;
+        incr nlabels
+      end;
+      labels.(k)
+    in
     (* procedures from the unit's own symbol table, in text order *)
     let module_procs =
       List.filter_map
@@ -90,141 +115,122 @@ let lift_module (u : Objfile.Cunit.t) =
     (* coverage check *)
     let covered =
       List.fold_left
-        (fun cursor (name, (d : Objfile.Symbol.proc_desc)) ->
+        (fun cursor (pname, (d : Objfile.Symbol.proc_desc)) ->
           if d.Objfile.Symbol.offset <> cursor then
-            fail "%s: text gap before %s (at %#x, expected %#x)"
-              u.Objfile.Cunit.name name d.Objfile.Symbol.offset cursor;
+            fail "%s+%#x: text gap before %s (at %#x)" name cursor pname
+              d.Objfile.Symbol.offset;
+          if d.Objfile.Symbol.offset land 3 <> 0 || d.Objfile.Symbol.size < 0
+          then
+            fail "%s+%#x: procedure %s is not instruction-aligned" name
+              d.Objfile.Symbol.offset pname;
           cursor + d.Objfile.Symbol.size)
         0 module_procs
     in
     if covered <> text_len then
-      fail "%s: procedures cover %d of %d text bytes" u.Objfile.Cunit.name
-        covered text_len;
-    (* branches become label-relative, in text order (per procedure, as
-       the procedures are contiguous) *)
+      fail "%s+%#x: procedures cover %d of %d text bytes" name covered covered
+        text_len;
+    (* branch targets get labels, in text order (per procedure, as the
+       procedures are contiguous); [entry.(k)] is the entry offset of
+       the procedure holding instruction [k] *)
+    let entry = Array.make n 0 in
     let procs =
       List.map
-        (fun (name, (d : Objfile.Symbol.proc_desc)) ->
+        (fun (pname, (d : Objfile.Symbol.proc_desc)) ->
           let first = d.Objfile.Symbol.offset / 4 in
           let count = d.Objfile.Symbol.size / 4 in
-          for k = 0 to count - 1 do
-            let off = d.Objfile.Symbol.offset + (4 * k) in
-            match insns.(first + k) with
-            | (I.Br { disp; _ } | I.Bsr { disp; _ } | I.Bcond { disp; _ }) as
-              insn ->
-                let target_off = off + 4 + (4 * disp) in
-                if target_off < 0 || target_off > text_len then
-                  fail "%s+%#x: branch target %#x outside module text"
-                    u.Objfile.Cunit.name off target_off;
-                minsns.(first + k) <-
-                  Mbranch { insn; target = label_at target_off }
-            | _ -> ()
+          for k = first to first + count - 1 do
+            entry.(k) <- d.Objfile.Symbol.offset;
+            let w = word k in
+            if D.kind w = D.Branch then
+              ignore
+                (label_at ~at:(4 * k) "branch target"
+                   ((4 * (k + 1)) + (4 * D.branch_disp w)))
           done;
-          { mp_name = name;
+          let entry_label =
+            label_at ~at:d.Objfile.Symbol.offset "procedure entry"
+              d.Objfile.Symbol.offset
+          in
+          { mp_name = pname;
             mp_offset = d.Objfile.Symbol.offset;
             mp_first = first;
             mp_count = count;
-            mp_entry_label = label_at d.Objfile.Symbol.offset })
+            mp_entry_label = entry_label })
         module_procs
     in
-    let proc_containing off =
-      List.find_opt
-        (fun p -> p.mp_offset <= off && off < p.mp_offset + (4 * p.mp_count))
-        procs
-    in
-    let index_of what off =
-      if off < 0 || off mod 4 <> 0 || off / 4 >= n then
-        fail "%s+%#x: %s" u.Objfile.Cunit.name off what
-      else off / 4
-    in
-    (* fold relocations into the instructions *)
+    (* fold relocations into the hints *)
+    let hints = Array.make n Plain in
+    let is_plain k = match hints.(k) with Plain -> true | _ -> false in
     List.iter
       (fun (r : Objfile.Reloc.t) ->
         if Objfile.Section.equal r.section Objfile.Section.Text then begin
-          let at =
-            if r.offset < 0 || r.offset mod 4 <> 0 || r.offset / 4 >= n then
-              fail "%s: relocation at %#x hits no instruction"
-                u.Objfile.Cunit.name r.offset
-            else r.offset / 4
-          in
+          let off = r.offset in
+          if off < 0 || off land 3 <> 0 || off >= text_len then
+            fail "%s+%#x: relocation hits no instruction" name off;
+          let at = off / 4 in
+          let w = word at in
           match r.kind with
-          | Objfile.Reloc.Literal { gat_index } -> (
-              let entry = u.Objfile.Cunit.gat.(gat_index) in
-              let key =
-                match entry with
-                | Objfile.Gat_entry.Addr { symbol; addend } ->
-                    Maddr { symbol; addend }
-                | Objfile.Gat_entry.Const c -> Mconst c
-              in
-              match minsns.(at) with
-              | Mraw (I.Ldq { ra; _ }) -> minsns.(at) <- Mgatload { ra; key }
-              | _ ->
-                  fail "%s+%#x: LITERAL not on an address load"
-                    u.Objfile.Cunit.name r.offset)
+          | Objfile.Reloc.Literal { gat_index } ->
+              let gat = u.Objfile.Cunit.gat in
+              if gat_index < 0 || gat_index >= Array.length gat then
+                fail "%s+%#x: LITERAL names GAT entry %d of %d" name off
+                  gat_index (Array.length gat);
+              if not (is_plain at && D.kind w = D.Ldq) then
+                fail "%s+%#x: LITERAL not on an address load" name off;
+              hints.(at) <-
+                Literal
+                  (match gat.(gat_index) with
+                  | Objfile.Gat_entry.Addr { symbol; addend } ->
+                      Maddr { symbol; addend }
+                  | Objfile.Gat_entry.Const c -> Mconst c)
           | Objfile.Reloc.Lituse_base { load_offset }
-          | Objfile.Reloc.Lituse_jsr { load_offset } -> (
+          | Objfile.Reloc.Lituse_jsr { load_offset } ->
               let jsr =
                 match r.kind with
                 | Objfile.Reloc.Lituse_jsr _ -> true
                 | _ -> false
               in
-              let load = index_of "dangling LITUSE" load_offset in
-              match minsns.(at) with
-              | Mraw insn -> minsns.(at) <- Muse { insn; load; jsr }
-              | _ ->
-                  fail "%s+%#x: LITUSE on a non-plain instruction"
-                    u.Objfile.Cunit.name r.offset)
-          | Objfile.Reloc.Gpdisp { anchor; pair } -> (
-              let lo = index_of "dangling GPDISP pair" pair in
-              (* is the anchor this instruction's enclosing procedure
-                 entry? *)
-              let is_entry =
-                match proc_containing r.offset with
-                | Some p -> p.mp_offset = anchor
-                | None -> false
+              let load = insn_at ~at:off "dangling LITUSE load" load_offset in
+              if not (is_plain at && D.kind w <> D.Branch) then
+                fail "%s+%#x: LITUSE on a non-plain instruction" name off;
+              hints.(at) <- Lituse { load; jsr }
+          | Objfile.Reloc.Gpdisp { anchor; pair } ->
+              let lo = insn_at ~at:off "dangling GPDISP pair" pair in
+              (* the anchor is either this instruction's enclosing
+                 procedure entry or a labelled return point *)
+              let anchor =
+                if entry.(at) = anchor then Mentry
+                else Mlabel (label_at ~at:off "GPDISP anchor" anchor)
               in
-              let a = if is_entry then Mentry else Mlabel (label_at anchor) in
-              match (minsns.(at), minsns.(lo)) with
-              | Mraw (I.Ldah { rb; _ }), Mraw (I.Lda _) ->
-                  minsns.(at) <- Mgpsetup_hi { base = rb; anchor = a; lo };
-                  minsns.(lo) <- Mgpsetup_lo
-              | _ ->
-                  fail "%s+%#x: GPDISP not on an ldah/lda pair"
-                    u.Objfile.Cunit.name r.offset)
-          | Objfile.Reloc.Refquad _ ->
-              fail "%s+%#x: REFQUAD in text" u.Objfile.Cunit.name r.offset
-          | Objfile.Reloc.Gprel16 { symbol; addend } -> (
+              if
+                not
+                  (is_plain at && D.kind w = D.Ldah && is_plain lo
+                  && D.kind (word lo) = D.Lda)
+              then fail "%s+%#x: GPDISP not on an ldah/lda pair" name off;
+              hints.(at) <- Gpdisp_hi { anchor; lo };
+              hints.(lo) <- Gpdisp_lo
+          | Objfile.Reloc.Refquad _ -> fail "%s+%#x: REFQUAD in text" name off
+          | Objfile.Reloc.Gprel16 { symbol; addend } ->
               (* optimistically-compiled direct GP-relative access *)
-              match minsns.(at) with
-              | Mraw
-                  (( I.Lda { rb; _ } | I.Ldq { rb; _ } | I.Stq { rb; _ } ) as
-                   insn)
-                when Isa.Reg.equal rb Isa.Reg.gp ->
-                  minsns.(at) <- Mgprel { insn; symbol; addend }
-              | _ ->
-                  fail "%s+%#x: GPREL16 not on a gp-based memory op"
-                    u.Objfile.Cunit.name r.offset)
+              let gp_mem =
+                match D.kind w with
+                | D.Lda | D.Ldq | D.Stq -> Isa.Reg.equal (D.rb w) Isa.Reg.gp
+                | _ -> false
+              in
+              if not (is_plain at && gp_mem) then
+                fail "%s+%#x: GPREL16 not on a gp-based memory op" name off;
+              hints.(at) <- Gprel16 { symbol; addend }
         end)
       u.Objfile.Cunit.relocs;
-    (* every label must land on an instruction *)
-    let label_insn = Array.make !nlabels 0 in
-    List.iter
-      (fun off ->
-        let l = Hashtbl.find label_table off in
-        if off < 0 || off mod 4 <> 0 || off / 4 >= n then
-          fail "label target %#x in module %s hits no instruction" off
-            u.Objfile.Cunit.name
-        else label_insn.(l) <- off / 4)
-      !label_offsets;
     Ok
-      { ms_module = u.Objfile.Cunit.name;
-        ms_insns = minsns;
+      { ms_module = name;
+        ms_text = Bytes.to_string text;
+        ms_hints = hints;
+        ms_labels = labels;
         ms_nlabels = !nlabels;
-        ms_label_insn = label_insn;
         ms_procs = Array.of_list procs }
   with
   | Lift_error m -> Error m
-  | Invalid_argument m -> Error m
+  | Invalid_argument m -> Error (name ^ ": " ^ m)
 
 (* --- phase 2: instantiation against a resolved world --- *)
 
@@ -254,58 +260,66 @@ let instantiate (world : Linker.Resolve.t) (msyms : module_sym array) =
     Array.iteri
       (fun m ms ->
         let u = world.Linker.Resolve.modules.(m) in
-        let n = Array.length ms.ms_insns in
+        let text = u.Objfile.Cunit.text in
         if
           (not (String.equal ms.ms_module u.Objfile.Cunit.name))
-          || n * 4 <> Bytes.length u.Objfile.Cunit.text
+          || not (String.equal ms.ms_text (Bytes.unsafe_to_string text))
         then
           fail "instantiate: lifted module %s does not match world module %s"
             ms.ms_module u.Objfile.Cunit.name;
-        let glabel = Array.make (max 1 ms.ms_nlabels) 0 in
-        for l = 0 to ms.ms_nlabels - 1 do
-          glabel.(l) <- S.fresh_label program
-        done;
+        let glabel =
+          Array.init ms.ms_nlabels (fun _ -> S.fresh_label program)
+        in
         let key_of = function
           | Maddr { symbol; addend } ->
               S.Paddr (Linker.Resolve.resolve_exn world m symbol, addend)
           | Mconst c -> S.Pconst c
         in
         (* nodes are created in text order, so the node id of instruction
-           [k] is [first_nid + k] and intra-module back-links need no
-           second pass *)
+           [k] is [first_nid + k] and intra-module back-links are plain
+           arithmetic *)
         let first_nid = program.S.next_node in
-        let nodes = Array.make n None in
-        for k = 0 to n - 1 do
+        let node k =
+          let w = D.word text k in
           let sinsn =
-            match ms.ms_insns.(k) with
-            | Mraw insn -> S.Raw insn
-            | Mgatload { ra; key } -> S.Gatload { ra; key = key_of key }
-            | Muse { insn; load; jsr } ->
+            match ms.ms_hints.(k) with
+            | Plain -> (
+                match D.decode_exn w with
+                | (I.Br { disp; _ } | I.Bsr { disp; _ } | I.Bcond { disp; _ })
+                  as insn ->
+                    let target = glabel.(ms.ms_labels.(k + 1 + disp)) in
+                    S.Branch { insn; target }
+                | insn -> S.Raw insn)
+            | Literal key -> S.Gatload { ra = D.ra w; key = key_of key }
+            | Lituse { load; jsr } ->
+                let insn = D.decode_exn w in
                 S.Use { insn; load_id = first_nid + load; jsr }
-            | Mgpsetup_hi { base; anchor; lo } ->
+            | Gpdisp_hi { anchor; lo } ->
                 let anchor =
                   match anchor with
                   | Mentry -> S.Aentry
                   | Mlabel l -> S.Alocal glabel.(l)
                 in
-                S.Gpsetup_hi { base; anchor; lo_id = first_nid + lo }
-            | Mgpsetup_lo -> S.Gpsetup_lo
-            | Mbranch { insn; target } ->
-                S.Branch { insn; target = glabel.(target) }
-            | Mgprel { insn; symbol; addend } ->
+                S.Gpsetup_hi { base = D.rb w; anchor; lo_id = first_nid + lo }
+            | Gpdisp_lo -> S.Gpsetup_lo
+            | Gprel16 { symbol; addend } ->
                 S.Gprel
-                  { insn;
+                  { insn = D.decode_exn w;
                     target = Linker.Resolve.resolve_exn world m symbol;
                     addend;
                     part = S.Pfull }
           in
-          nodes.(k) <- Some (S.make_node program sinsn)
-        done;
-        let node k = Option.get nodes.(k) in
-        for l = 0 to ms.ms_nlabels - 1 do
-          let nd = node ms.ms_label_insn.(l) in
-          nd.S.labels <- glabel.(l) :: nd.S.labels
-        done;
+          let nd = S.make_node program sinsn in
+          let l = ms.ms_labels.(k) in
+          if l >= 0 then nd.S.labels <- [ glabel.(l) ];
+          nd
+        in
+        let[@tail_mod_cons] rec body k stop =
+          if k = stop then []
+          else
+            let nd = node k in
+            nd :: body (k + 1) stop
+        in
         Array.iter
           (fun mp ->
             let sp_index =
@@ -315,15 +329,12 @@ let instantiate (world : Linker.Resolve.t) (msyms : module_sym array) =
                   fail "instantiate: procedure %s of %s unknown to the world"
                     mp.mp_name u.Objfile.Cunit.name
             in
-            let body =
-              List.init mp.mp_count (fun k -> node (mp.mp_first + k))
-            in
             all_procs :=
               { S.sp_index;
                 sp_name = mp.mp_name;
                 sp_module = m;
                 entry_label = glabel.(mp.mp_entry_label);
-                body;
+                body = body mp.mp_first (mp.mp_first + mp.mp_count);
                 sp_gp_group = 0 }
               :: !all_procs)
           ms.ms_procs)

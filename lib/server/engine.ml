@@ -5,7 +5,8 @@
    is keyed by content digest in the store:
 
    - compiled units, keyed by their source text (and compile options);
-   - per-module symbolic lifts, keyed by the unit's serialized bytes;
+   - per-module symbolic lifts, keyed by the unit's serialized bytes and
+     the lift format;
    - linked images, keyed by the digests of every participating unit
      plus the level and entry.
 
@@ -157,7 +158,7 @@ let compile_unit t (input : input) =
 (* --- cached lifting --- *)
 
 let lift_cached t (u : Objfile.Cunit.t) =
-  let key = Store.Codec.cunit_digest u in
+  let key = Store.Codec.lifted_key u in
   match
     Option.bind
       (Store.get t.store Store.Lifted ~key)

@@ -272,16 +272,21 @@ module Codec = struct
 
   let cunit_digest u = digest_bytes (Objfile.Obj_io.write u)
 
-  (* Marshal is safe here: the payloads reach us only through the store,
-     which verifies the content digest before handing bytes back, and a
-     well-formed payload of the wrong shape still fails into [Error] below
-     rather than escaping as an exception. *)
+  (* Marshal is safe here only while a payload is unmarshalled at the
+     type it was written at. The store verifies the content digest
+     before handing bytes back, so damaged bytes fail into [Error] below;
+     but a well-formed payload of another shape is undefined behaviour,
+     not an [Error]. A key must therefore change whenever its payload
+     type does: lifts are keyed by [Om.Lift.format] for that reason. *)
 
   let marshal_of_string what s =
     match Marshal.from_string s 0 with
     | v -> Ok v
     | exception (Failure m | Invalid_argument m) ->
         Error (Printf.sprintf "%s: bad marshalled payload: %s" what m)
+
+  let lifted_key u =
+    digest_string (Om.Lift.format ^ "\x00" ^ cunit_digest u)
 
   let lifted_to_string (ms : Om.Lift.module_sym) = Marshal.to_string ms []
 

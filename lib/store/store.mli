@@ -91,15 +91,22 @@ val mem_bytes : t -> int
     object-file format (already a total, versioned codec); per-module
     lifts and linked images — internal, plain-data structures — use
     [Marshal], guarded on the way in by the store's digest check and on
-    the way out by exception trapping, so a payload that is not a valid
-    marshalling of the expected type degrades to a cache miss. *)
+    the way out by exception trapping, so damaged bytes degrade to a
+    cache miss. A well-formed marshalling of another type cannot be
+    detected that way, so a key must change whenever its payload's type
+    does: see {!lifted_key}. *)
 module Codec : sig
   val cunit_to_string : Objfile.Cunit.t -> string
   val cunit_of_string : string -> (Objfile.Cunit.t, string) result
 
   val cunit_digest : Objfile.Cunit.t -> string
-  (** Digest of the unit's serialized form — the content key under which
-      compiled units and their lifts are stored. *)
+  (** Digest of the unit's serialized form — the content key from which
+      lift and image keys are built. *)
+
+  val lifted_key : Objfile.Cunit.t -> string
+  (** The key under which a unit's lift is stored: its {!cunit_digest}
+      mixed with {!Om.Lift.format}, so a lift written in another format is
+      never read back at the current type. *)
 
   val lifted_to_string : Om.Lift.module_sym -> string
   val lifted_of_string : string -> (Om.Lift.module_sym, string) result

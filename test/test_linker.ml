@@ -237,6 +237,15 @@ let test_gpdisp_out_of_range_is_link_error () =
         true
         (contains ~affix:"GPDISP" m)
 
+let test_image_insns_truncated () =
+  let image = Testutil.link_std [ compile ~name:"a.o" {|func main() { return 0; }|} ] in
+  let image = { image with Linker.Image.text = Bytes.sub image.Linker.Image.text 0 6 } in
+  match Linker.Image.insns image with
+  | _ -> Alcotest.fail "decoded a truncated text"
+  | exception Invalid_argument m ->
+      Alcotest.(check string) "documented error"
+        "Image.insns: undecodable text: length 6 is not a multiple of 4" m
+
 let suite =
   ( "linker",
     [ Alcotest.test_case "duplicate definition" `Quick test_duplicate_definition;
@@ -254,4 +263,6 @@ let suite =
       Alcotest.test_case "image metadata" `Quick test_image_metadata;
       Alcotest.test_case "GPDISP patching" `Quick test_gp_anchor_patch;
       Alcotest.test_case "GPDISP out of range is a link error" `Quick
-        test_gpdisp_out_of_range_is_link_error ] )
+        test_gpdisp_out_of_range_is_link_error;
+      Alcotest.test_case "Image.insns names truncated text" `Quick
+        test_image_insns_truncated ] )

@@ -318,6 +318,42 @@ let test_trace_hook () =
       Alcotest.(check bool) "calls observed" true (!calls >= 1)
   | Error e -> Alcotest.failf "fault: %a" Machine.Cpu.pp_error e)
 
+(* --- a text of 6 bytes: one whole word and a partial one. Decoding is
+   total, so every reader reports the partial word's PC --- *)
+
+let truncated_image () =
+  let image = image_of_insns (exit_with R.zero) in
+  { image with
+    Linker.Image.text = Bytes.sub image.Linker.Image.text 0 6 }
+
+let test_cpu_truncated_text () =
+  let image = truncated_image () in
+  let expect name = function
+    | Error (Machine.Cpu.Undecodable pc) ->
+        Alcotest.(check int) (name ^ " names the partial word")
+          (image.Linker.Image.text_base + 4) pc
+    | Error e -> Alcotest.failf "%s: wrong fault: %a" name Machine.Cpu.pp_error e
+    | Ok _ -> Alcotest.failf "%s: accepted a truncated text" name
+  in
+  expect "decode" (Result.map ignore (Machine.Cpu.decode image));
+  expect "reference" (Result.map ignore (Machine.Cpu.run_reference image))
+
+let test_decoded_truncated_text () =
+  let image = truncated_image () in
+  match Machine.Decoded.of_image image with
+  | Error (pc, Isa.Decode.Truncated { length = 6 }) ->
+      Alcotest.(check int) "pc of the partial word"
+        (image.Linker.Image.text_base + 4) pc
+  | Error (_, e) ->
+      Alcotest.failf "wrong error: %a" Isa.Decode.pp_stream_error e
+  | Ok _ -> Alcotest.fail "accepted a truncated text"
+
 let suite =
   let name, cases = suite in
-  (name, cases @ [ Alcotest.test_case "trace hook" `Quick test_trace_hook ])
+  ( name,
+    cases
+    @ [ Alcotest.test_case "trace hook" `Quick test_trace_hook;
+        Alcotest.test_case "Cpu reports truncated text" `Quick
+          test_cpu_truncated_text;
+        Alcotest.test_case "Decoded reports truncated text" `Quick
+          test_decoded_truncated_text ] )

@@ -165,6 +165,24 @@ let test_masm_rejects () =
       Minic.Masm.add_global m ~name:"x" ~section:`Bss ~size_bytes:8
         ~init:[| 1L |] ())
 
+(* a 6-byte text: [validate] reports it and [insns] raises its documented
+   error naming the unit, not the decoder's length check *)
+let test_truncated_text () =
+  let u = sample_unit () in
+  let u = { u with O.Cunit.text = Bytes.sub u.O.Cunit.text 0 6 } in
+  (match O.Cunit.validate u with
+  | Ok () -> Alcotest.fail "validate accepted a truncated text"
+  | Error m ->
+      Alcotest.(check bool) "validate names the length" true
+        (Astring.String.is_infix ~affix:"length 6 is not a multiple of 4" m));
+  match O.Cunit.insns u with
+  | _ -> Alcotest.fail "insns decoded a truncated text"
+  | exception Invalid_argument m ->
+      Alcotest.(check string) "insns names the unit and the length"
+        "Cunit.insns: undecodable text in sample.o: length 6 is not a \
+         multiple of 4"
+        m
+
 let suite =
   ( "objfile",
     [ Alcotest.test_case "sample unit validates" `Quick test_validate_ok;
@@ -178,4 +196,6 @@ let suite =
       Alcotest.test_case "archive selection" `Quick test_archive_select;
       Alcotest.test_case "archive io" `Quick test_archive_io;
       Alcotest.test_case "masm rejects bad input" `Quick test_masm_rejects;
-      Testutil.qtest prop_io_random_corruption ] )
+      Testutil.qtest prop_io_random_corruption;
+      Alcotest.test_case "truncated text is named, not a raw raise" `Quick
+        test_truncated_text ] )

@@ -629,3 +629,172 @@ let suite =
     cases
     @ [ Alcotest.test_case "ablation variants preserve behavior" `Quick
           test_ablation_preserves_behavior ] )
+
+(* --- lift error paths: every refusal is an [Error] naming the module
+   and the byte offset, never an exception --- *)
+
+let lift_case_unit () =
+  let gp = R.gp in
+  Objfile.Cunit.make ~name:"lift_case.o"
+    ~gat:[| Objfile.Gat_entry.addr "g" |]
+    ~symbols:[ Objfile.Symbol.proc ~name:"f" ~offset:0 ~size:28 () ]
+    ~relocs:
+      Objfile.Reloc.
+        [ v ~section:Objfile.Section.Text ~offset:0
+            (Gpdisp { anchor = 0; pair = 4 });
+          v ~section:Objfile.Section.Text ~offset:8 (Literal { gat_index = 0 });
+          v ~section:Objfile.Section.Text ~offset:12
+            (Lituse_base { load_offset = 8 }) ]
+    [ I.Ldah { ra = gp; rb = R.pv; disp = 0 };           (* 0x00 *)
+      I.Lda { ra = gp; rb = gp; disp = 0 };              (* 0x04 *)
+      I.Ldq { ra = R.t0; rb = gp; disp = 0 };            (* 0x08 *)
+      I.Ldq { ra = R.v0; rb = R.t0; disp = 0 };          (* 0x0c *)
+      I.Bcond { cond = I.Bne; ra = R.v0; disp = 1 };     (* 0x10 *)
+      I.Lda { ra = R.v0; rb = R.zero; disp = 1 };        (* 0x14 *)
+      I.Jump { kind = I.Ret; ra = R.zero; rb = R.ra; hint = 1 } ]
+
+let test_lift_errors () =
+  let base = lift_case_unit () in
+  (match Om.Lift.lift_module base with
+  | Ok _ -> ()
+  | Error m -> Alcotest.failf "well-formed unit refused: %s" m);
+  let text_reloc offset kind =
+    Objfile.Reloc.v ~section:Objfile.Section.Text ~offset kind
+  in
+  let add_reloc r = { base with Objfile.Cunit.relocs = base.relocs @ [ r ] } in
+  let with_proc ~offset ~size =
+    { base with
+      Objfile.Cunit.symbols = [ Objfile.Symbol.proc ~name:"f" ~offset ~size () ] }
+  in
+  let with_word k w =
+    let text = Bytes.copy base.Objfile.Cunit.text in
+    Bytes.set_int32_le text (4 * k) (Int32.of_int w);
+    { base with Objfile.Cunit.text }
+  in
+  let far_branch =
+    Isa.Encode.insn (I.Bcond { cond = I.Bne; ra = R.v0; disp = 100 })
+  in
+  let back_branch =
+    Isa.Encode.insn (I.Bcond { cond = I.Bne; ra = R.v0; disp = -10 })
+  in
+  let cases =
+    [ ("text gap", with_proc ~offset:4 ~size:24, 0x0, "text gap");
+      ("short coverage", with_proc ~offset:0 ~size:24, 0x18, "procedures cover");
+      ("misaligned procedure",
+       { base with
+         Objfile.Cunit.symbols =
+           [ Objfile.Symbol.proc ~name:"f" ~offset:0 ~size:6 ();
+             Objfile.Symbol.proc ~name:"g" ~offset:6 ~size:22 () ] },
+       0x6, "procedure g is not instruction-aligned");
+      ("branch past the text", with_word 4 far_branch, 0x10, "branch target");
+      ("branch before the text", with_word 4 back_branch, 0x10,
+       "branch target");
+      ("LITERAL not on ldq", add_reloc (text_reloc 0x18 (Literal { gat_index = 0 })),
+       0x18, "LITERAL not on an address load");
+      ("LITERAL outside the GAT",
+       add_reloc (text_reloc 0x14 (Literal { gat_index = 3 })), 0x14,
+       "GAT entry 3");
+      ("LITUSE on a LITERAL load",
+       add_reloc (text_reloc 0x8 (Lituse_base { load_offset = 8 })), 0x8,
+       "LITUSE on a non-plain instruction");
+      ("LITUSE on a branch",
+       add_reloc (text_reloc 0x10 (Lituse_base { load_offset = 8 })), 0x10,
+       "LITUSE on a non-plain instruction");
+      ("dangling LITUSE",
+       add_reloc (text_reloc 0x14 (Lituse_jsr { load_offset = 0x100 })), 0x14,
+       "dangling LITUSE");
+      ("GPDISP off an ldah/lda pair",
+       add_reloc (text_reloc 0x8 (Gpdisp { anchor = 0; pair = 0xc })), 0x8,
+       "GPDISP not on an ldah/lda pair");
+      ("dangling GPDISP pair",
+       add_reloc (text_reloc 0x0 (Gpdisp { anchor = 0; pair = 0x200 })), 0x0,
+       "dangling GPDISP pair");
+      ("GPDISP anchor outside the text",
+       add_reloc (text_reloc 0x0 (Gpdisp { anchor = 0x400; pair = 4 })), 0x0,
+       "GPDISP anchor");
+      ("REFQUAD in text",
+       add_reloc (text_reloc 0x14 (Refquad { symbol = "g"; addend = 0 })), 0x14,
+       "REFQUAD in text");
+      ("GPREL16 off gp",
+       add_reloc (text_reloc 0xc (Gprel16 { symbol = "g"; addend = 0 })), 0xc,
+       "GPREL16 not on a gp-based memory op");
+      ("relocation between instructions",
+       add_reloc (text_reloc 0x6 (Literal { gat_index = 0 })), 0x6,
+       "relocation hits no instruction");
+      ("undecodable word", with_word 5 0x04000000, 0x14, "undecodable text");
+      ("odd-length text",
+       { base with Objfile.Cunit.text = Bytes.cat base.text (Bytes.make 2 '\000') },
+       0x1c, "not a multiple of 4") ]
+  in
+  List.iter
+    (fun (what, u, off, affix) ->
+      match Om.Lift.lift_module u with
+      | Ok _ -> Alcotest.failf "%s: accepted" what
+      | Error m ->
+          let prefix = Printf.sprintf "lift_case.o+%#x:" off in
+          if
+            not
+              (String.starts_with ~prefix m
+              && Astring.String.is_infix ~affix m)
+          then Alcotest.failf "%s: expected %S ... %S, got %S" what prefix affix m
+      | exception e ->
+          Alcotest.failf "%s: raised %s" what (Printexc.to_string e))
+    cases
+
+(* --- the daemon's lift path equals the in-process one ---
+
+   The daemon lifts each module once, stores it marshalled and
+   instantiates what it reads back; [Om.Lift.run] lifts and instantiates
+   in one go. Both must build the same program on every benchmark and
+   build. *)
+
+let test_stored_lift_matches_run () =
+  let digest (p : S.program) =
+    Digest.to_hex
+      (Digest.string (Marshal.to_string (p.S.procs, p.next_label, p.next_node) []))
+  in
+  let archives = [ Runtime.libstd () ] in
+  List.iter
+    (fun (b : Workloads.Programs.benchmark) ->
+      List.iter
+        (fun build ->
+          let what =
+            b.Workloads.Programs.name ^ "/" ^ Workloads.Suite.build_name build
+          in
+          let world =
+            match
+              Linker.Resolve.run (Workloads.Suite.compile build b) ~archives
+            with
+            | Ok w -> w
+            | Error m -> Alcotest.failf "%s: resolve: %s" what m
+          in
+          let stored =
+            match Om.Lift.lift_world world with
+            | Error m -> Alcotest.failf "%s: lift: %s" what m
+            | Ok msyms ->
+                Array.map
+                  (fun ms ->
+                    match
+                      Store.Codec.lifted_of_string (Store.Codec.lifted_to_string ms)
+                    with
+                    | Ok ms -> ms
+                    | Error m -> Alcotest.failf "%s: round trip: %s" what m)
+                  msyms
+          in
+          let via_store =
+            match Om.Lift.instantiate world stored with
+            | Ok p -> p
+            | Error m -> Alcotest.failf "%s: instantiate: %s" what m
+          in
+          Alcotest.(check string) what (digest (lift world)) (digest via_store))
+        Workloads.Suite.all_builds)
+    Workloads.Programs.all
+
+let suite =
+  let name, cases = suite in
+  ( name,
+    cases
+    @ [ Alcotest.test_case "lift errors name module and offset" `Quick
+          test_lift_errors;
+        Alcotest.test_case "stored lifts instantiate like Lift.run" `Quick
+          test_stored_lift_matches_run ] )

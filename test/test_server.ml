@@ -787,6 +787,51 @@ let test_client_retries_ride_out_overload () =
       | P.Eof | P.Bad _ -> Alcotest.fail "slow ping reply lost")
     [ (); () ]
 
+(* A store written by an older lift format holds its lifts under the
+   bare unit digest. Reading one back at today's [module_sym] type would
+   be undefined behaviour, so the engine must never look there: every
+   module is a lift miss and the image is the one a clean store gives.
+   The planted payloads are real lifts of the wrong module, so a read
+   would surface as a mismatch rather than a crash. *)
+let test_engine_ignores_bare_digest_lifts () =
+  let units =
+    [ Testutil.compile ~name:"util.mc" util_src;
+      Testutil.compile ~name:"main.mc" main_src ]
+  in
+  let inputs =
+    List.map
+      (fun (u : Objfile.Cunit.t) ->
+        Server.Engine.Object
+          { name = u.Objfile.Cunit.name; bytes = Store.Codec.cunit_to_string u })
+      units
+  in
+  let world =
+    match Linker.Resolve.run units ~archives:[ Runtime.libstd () ] with
+    | Ok w -> w
+    | Error m -> Alcotest.failf "resolve: %s" m
+  in
+  let modules = world.Linker.Resolve.modules in
+  let wrong =
+    match Om.Lift.lift_module modules.(Array.length modules - 1) with
+    | Ok ms -> Store.Codec.lifted_to_string ms
+    | Error m -> Alcotest.failf "lift: %s" m
+  in
+  let store = Store.in_memory () in
+  Array.iter
+    (fun u -> Store.put store Store.Lifted ~key:(Store.Codec.cunit_digest u) wrong)
+    modules;
+  let engine = Server.Engine.create ~store () in
+  let image, _, info = link_ok engine inputs in
+  Alcotest.(check int) "every module is a lift miss" (Array.length modules)
+    info.Server.Engine.li_lifted.Store.disk_misses;
+  Alcotest.(check int) "no planted lift is read" 0
+    info.Server.Engine.li_lifted.Store.mem_hits;
+  let clean, _, _ =
+    link_ok (Server.Engine.create ~store:(Store.in_memory ()) ()) inputs
+  in
+  Alcotest.(check string) "same image as a clean store"
+    (Store.Codec.image_digest clean) (Store.Codec.image_digest image)
+
 let suite =
   ( "server",
     [ Alcotest.test_case "requests round-trip the wire format" `Quick
@@ -821,4 +866,6 @@ let suite =
       Alcotest.test_case "concurrent clients: bit-identical and coalesced"
         `Quick test_daemon_concurrent_clients;
       Alcotest.test_case "client retries ride out overload" `Quick
-        test_client_retries_ride_out_overload ] )
+        test_client_retries_ride_out_overload;
+      Alcotest.test_case "lifts stored under a bare digest are never read"
+        `Quick test_engine_ignores_bare_digest_lifts ] )
