@@ -9,22 +9,37 @@ type t =
 
 (* --- printing --- *)
 
+(* Runs of characters that need no escaping are copied whole; only the
+   escaped characters themselves go through one at a time. *)
 let escape buf s =
+  let n = String.length s in
+  let flush start i =
+    if i > start then Buffer.add_substring buf s start (i - start)
+  in
+  let rec go start i =
+    if i = n then flush start i
+    else
+      match s.[i] with
+      | ('"' | '\\' | '\000' .. '\031') as c ->
+          flush start i;
+          (match c with
+          | '"' -> Buffer.add_string buf "\\\""
+          | '\\' -> Buffer.add_string buf "\\\\"
+          | '\n' -> Buffer.add_string buf "\\n"
+          | '\r' -> Buffer.add_string buf "\\r"
+          | '\t' -> Buffer.add_string buf "\\t"
+          | '\b' -> Buffer.add_string buf "\\b"
+          | '\012' -> Buffer.add_string buf "\\f"
+          | c ->
+              (* \u00XX, lowercase hex *)
+              Buffer.add_string buf
+                (if Char.code c < 0x10 then "\\u000" else "\\u001");
+              Buffer.add_char buf "0123456789abcdef".[Char.code c land 0xf]);
+          go (i + 1) (i + 1)
+      | _ -> go start (i + 1)
+  in
   Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\b' -> Buffer.add_string buf "\\b"
-      | '\012' -> Buffer.add_string buf "\\f"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
+  go 0 0;
   Buffer.add_char buf '"'
 
 let float_repr f =
@@ -132,51 +147,64 @@ let parse s =
     pos := !pos + 4;
     v
   in
+  (* index of the first '"' or '\\' at or after [i], or [n] *)
+  let rec run_end i =
+    if i < n && (match s.[i] with '"' | '\\' -> false | _ -> true) then
+      run_end (i + 1)
+    else i
+  in
+  (* Each run up to the next quote or backslash is copied whole; a
+     string without escapes is one [String.sub] and no buffer traffic. *)
   let string_body () =
     expect '"';
     let buf = Buffer.create 16 in
     let rec go () =
+      let start = !pos in
+      pos := run_end start;
       if !pos >= n then fail "unterminated string";
-      match s.[!pos] with
-      | '"' -> incr pos
-      | '\\' ->
-          incr pos;
-          if !pos >= n then fail "unterminated escape";
-          let c = s.[!pos] in
-          incr pos;
-          (match c with
-          | '"' -> Buffer.add_char buf '"'
-          | '\\' -> Buffer.add_char buf '\\'
-          | '/' -> Buffer.add_char buf '/'
-          | 'n' -> Buffer.add_char buf '\n'
-          | 'r' -> Buffer.add_char buf '\r'
-          | 't' -> Buffer.add_char buf '\t'
-          | 'b' -> Buffer.add_char buf '\b'
-          | 'f' -> Buffer.add_char buf '\012'
-          | 'u' ->
-              let u = hex4 () in
-              let u =
-                (* surrogate pair *)
-                if u >= 0xd800 && u <= 0xdbff && !pos + 2 <= n
-                   && s.[!pos] = '\\'
-                   && s.[!pos + 1] = 'u'
-                then begin
-                  pos := !pos + 2;
-                  let lo = hex4 () in
-                  0x10000 + ((u - 0xd800) lsl 10) + (lo - 0xdc00)
-                end
-                else u
-              in
-              utf8_of_code buf u
-          | _ -> fail "bad escape");
-          go ()
-      | c ->
-          Buffer.add_char buf c;
-          incr pos;
-          go ()
+      if s.[!pos] = '"' then begin
+        incr pos;
+        if Buffer.length buf = 0 then String.sub s start (!pos - 1 - start)
+        else begin
+          Buffer.add_substring buf s start (!pos - 1 - start);
+          Buffer.contents buf
+        end
+      end
+      else begin
+        Buffer.add_substring buf s start (!pos - start);
+        incr pos;
+        if !pos >= n then fail "unterminated escape";
+        let c = s.[!pos] in
+        incr pos;
+        (match c with
+        | '"' -> Buffer.add_char buf '"'
+        | '\\' -> Buffer.add_char buf '\\'
+        | '/' -> Buffer.add_char buf '/'
+        | 'n' -> Buffer.add_char buf '\n'
+        | 'r' -> Buffer.add_char buf '\r'
+        | 't' -> Buffer.add_char buf '\t'
+        | 'b' -> Buffer.add_char buf '\b'
+        | 'f' -> Buffer.add_char buf '\012'
+        | 'u' ->
+            let u = hex4 () in
+            let u =
+              (* surrogate pair *)
+              if u >= 0xd800 && u <= 0xdbff && !pos + 2 <= n
+                 && s.[!pos] = '\\'
+                 && s.[!pos + 1] = 'u'
+              then begin
+                pos := !pos + 2;
+                let lo = hex4 () in
+                0x10000 + ((u - 0xd800) lsl 10) + (lo - 0xdc00)
+              end
+              else u
+            in
+            utf8_of_code buf u
+        | _ -> fail "bad escape");
+        go ()
+      end
     in
-    go ();
-    Buffer.contents buf
+    go ()
   in
   let number () =
     let start = !pos in

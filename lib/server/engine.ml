@@ -176,6 +176,7 @@ let lift_cached t (u : Objfile.Cunit.t) =
 
 type link_info = {
   li_level : string;
+  li_image_bytes : string;  (* [Store.Codec.image_to_string] of the image *)
   li_image_digest : string;
   li_insns : int;
   li_elapsed_s : float;
@@ -224,7 +225,7 @@ let link t ?entry ~level inputs =
             Lazy.force t.libstd_digest ]
          @ List.map Store.Codec.cunit_digest units))
   in
-  let finish ~image_hit image stats =
+  let finish ~image_hit ~bytes image stats =
     let elapsed_s = Unix.gettimeofday () -. t0 in
     Obs.Metrics.observe_s
       (Obs.Metrics.histogram ~registry:t.metrics
@@ -237,7 +238,8 @@ let link t ?entry ~level inputs =
          ~help:"Whole-image cache outcomes" "engine_image_cache_total");
     let info =
       { li_level = level_name level;
-        li_image_digest = Store.Codec.image_digest image;
+        li_image_bytes = bytes;
+        li_image_digest = Store.digest_string bytes;
         li_insns = Linker.Image.insn_count image;
         li_elapsed_s = elapsed_s;
         li_image_hit = image_hit;
@@ -251,9 +253,11 @@ let link t ?entry ~level inputs =
   match
     Option.bind
       (Store.get t.store Store.Image ~key:image_key)
-      (fun payload -> Result.to_option (Store.Codec.image_of_string payload))
+      (fun payload ->
+        Result.to_option (Store.Codec.image_of_string payload)
+        |> Option.map (fun image -> (payload, image)))
   with
-  | Some image -> finish ~image_hit:true image None
+  | Some (bytes, image) -> finish ~image_hit:true ~bytes image None
   | None -> (
       let* world =
         Obs.Trace.span "resolve" @@ fun () ->
@@ -285,9 +289,9 @@ let link t ?entry ~level inputs =
             in
             Ok (image, Some stats)
       in
-      Store.put t.store Store.Image ~key:image_key
-        (Store.Codec.image_to_string image);
-      finish ~image_hit:false image stats)
+      let bytes = Store.Codec.image_to_string image in
+      Store.put t.store Store.Image ~key:image_key bytes;
+      finish ~image_hit:false ~bytes image stats)
 
 let link_files t ?entry ~level files =
   let* inputs = collect input_of_file files in

@@ -51,6 +51,9 @@ val level_name : level -> string
 
 type link_info = {
   li_level : string;
+  li_image_bytes : string;
+      (** the image serialized as {!Store.Codec.image_to_string} does: the
+          cached payload on a hit, so a reply needs no second marshal *)
   li_image_digest : string;
   li_insns : int;
   li_elapsed_s : float;

@@ -4,9 +4,11 @@
    computation) carry their own Condition variable on that shared mutex
    so completion wakes exactly the waiters attached to that ticket.
 
-   OCaml's stdlib Condition has no timed wait, so waiters with a
-   deadline poll: short sleeps near the deadline, longer ones far from
-   it. Waiters without a deadline block on the condition directly. *)
+   Every waiter, deadline or not, blocks on its ticket's condition, so a
+   completion wakes it at once. OCaml's stdlib Condition has no timed
+   wait, so one watchdog thread per scheduler polls the registered
+   deadlines and broadcasts the condition of each expired waiter: only
+   timeout detection is coarse, by at most [watch_tick]. *)
 
 type finished =
   | F_reply of Obs.Json.t
@@ -24,6 +26,8 @@ type ticket = {
 type t = {
   mutex : Mutex.t;
   work : Condition.t;  (* signalled when the queue grows or we stop *)
+  watch : Condition.t;  (* signalled when [timed] gains a waiter or we stop *)
+  mutable timed : (float * ticket) list;  (* deadline waiters, watched *)
   queue : ticket Queue.t;
   queue_limit : int;
   inflight : (string, ticket) Hashtbl.t;  (* key -> queued-or-running ticket *)
@@ -95,6 +99,38 @@ let rec next_wanted t =
         next_wanted t
       end
 
+let watch_tick = 0.005
+
+(* Wake every waiter whose deadline has passed; it removes itself from
+   [timed] once it runs. Sleeps on [watch] while nobody has a deadline
+   and exits once the scheduler stops and the last such waiter left. *)
+let watchdog t =
+  Mutex.lock t.mutex;
+  let rec loop () =
+    match t.timed with
+    | [] when t.stopping -> Mutex.unlock t.mutex
+    | [] ->
+        Condition.wait t.watch t.mutex;
+        loop ()
+    | timed ->
+        let now = Unix.gettimeofday () in
+        let next =
+          List.fold_left
+            (fun next (dl, ticket) ->
+              if dl <= now then begin
+                Condition.broadcast ticket.cond;
+                next
+              end
+              else Float.min next dl)
+            infinity timed
+        in
+        Mutex.unlock t.mutex;
+        Unix.sleepf (Float.max 0.0005 (Float.min watch_tick (next -. now)));
+        Mutex.lock t.mutex;
+        loop ()
+  in
+  loop ()
+
 let worker_loop t =
   let rec loop () =
     Mutex.lock t.mutex;
@@ -152,6 +188,8 @@ let create ?workers ?(queue_limit = 64) ?(registry = Obs.Metrics.default) () =
     {
       mutex = Mutex.create ();
       work = Condition.create ();
+      watch = Condition.create ();
+      timed = [];
       queue = Queue.create ();
       queue_limit = max 1 queue_limit;
       inflight = Hashtbl.create 64;
@@ -178,6 +216,7 @@ let create ?workers ?(queue_limit = 64) ?(registry = Obs.Metrics.default) () =
   in
   t.domains <-
     List.init n_workers (fun _ -> Domain.spawn (fun () -> worker_loop t));
+  ignore (Thread.create watchdog t : Thread.t);
   t
 
 let workers t = t.n_workers
@@ -247,37 +286,29 @@ let outcome_of_finished = function
 
 let wait t ?deadline handle =
   let ticket = handle.ticket in
-  Mutex.lock t.mutex;
-  let finally () = Mutex.unlock t.mutex in
-  Fun.protect ~finally (fun () ->
-      let rec loop () =
+  locked t (fun () ->
+      let rec loop expired =
         match ticket.state with
         | Some f -> outcome_of_finished f
-        | None -> (
-            match deadline with
-            | None ->
-                Condition.wait ticket.cond t.mutex;
-                loop ()
-            | Some dl ->
-                let remaining = dl -. Unix.gettimeofday () in
-                if remaining <= 0. then begin
-                  ticket.waiters <- ticket.waiters - 1;
-                  Timed_out
-                end
-                else begin
-                  (* no timed Condition.wait in the stdlib: poll, coarse
-                     when far from the deadline, fine when close *)
-                  let nap =
-                    if remaining > 0.2 then min 0.05 (remaining -. 0.15)
-                    else 0.004
-                  in
-                  Mutex.unlock t.mutex;
-                  Unix.sleepf nap;
-                  Mutex.lock t.mutex;
-                  loop ()
-                end)
+        | None ->
+            if expired () then begin
+              ticket.waiters <- ticket.waiters - 1;
+              Timed_out
+            end
+            else begin
+              Condition.wait ticket.cond t.mutex;
+              loop expired
+            end
       in
-      loop ())
+      match deadline with
+      | None -> loop (fun () -> false)
+      | Some dl ->
+          let entry = (dl, ticket) in
+          t.timed <- entry :: t.timed;
+          Condition.signal t.watch;
+          Fun.protect
+            ~finally:(fun () -> t.timed <- List.filter (( != ) entry) t.timed)
+            (fun () -> loop (fun () -> Unix.gettimeofday () >= dl)))
 
 type stats = {
   st_workers : int;
@@ -341,6 +372,7 @@ let stop t =
             (Hashtbl.copy t.inflight);
           set_depth t;
           Condition.broadcast t.work;
+          Condition.broadcast t.watch;
           t.busy > 0
         end)
   in

@@ -16,8 +16,9 @@
       decaying average of service times and the current backlog)
       instead of being accepted into an ever-growing backlog.
     - {b Deadlines}: waiting on a handle takes an absolute deadline and
-      returns [Timed_out] the moment it passes, even while the request
-      is still queued. A queued entry all of whose waiters gave up is
+      returns [Timed_out] within a few milliseconds of it passing, even
+      while the request is still queued; a completion before then wakes
+      the waiter at once. A queued entry all of whose waiters gave up is
       discarded unrun.
 
     Every state change lands in the metrics registry:
@@ -44,9 +45,9 @@ type outcome =
 
 val create :
   ?workers:int -> ?queue_limit:int -> ?registry:Obs.Metrics.t -> unit -> t
-(** Spawn the worker pool. [workers] defaults to
-    [max 2 (Reports.Pool.default_jobs ())] (so [OMLT_JOBS] is honoured);
-    [queue_limit] defaults to 64. *)
+(** Spawn the worker pool and the deadline watchdog thread. [workers]
+    defaults to [max 2 (Reports.Pool.default_jobs ())] (so [OMLT_JOBS] is
+    honoured); [queue_limit] defaults to 64. *)
 
 val workers : t -> int
 val queue_limit : t -> int
@@ -60,9 +61,11 @@ val was_coalesced : handle -> bool
 
 val wait : t -> ?deadline:float -> handle -> outcome
 (** Block until the computation finishes or the absolute [deadline]
-    (a [Unix.gettimeofday] timestamp) passes. May be called from any
-    thread or domain; each waiter of a coalesced computation gets the
-    same [Reply]. *)
+    (a [Unix.gettimeofday] timestamp) passes. Completion wakes the
+    waiter at once, deadline or not; a passed deadline is noticed within
+    a few milliseconds by the scheduler's one watchdog thread. May be
+    called from any thread or domain; each waiter of a coalesced
+    computation gets the same [Reply]. *)
 
 type stats = {
   st_workers : int;

@@ -787,6 +787,204 @@ let test_compare_gate () =
   Alcotest.(check (list string)) "missing rows listed" [ "b/compile-each" ]
     gone.Obs.Compare.missing
 
+(* --- Json string codec against per-character references ---
+
+   The printer's [escape] and the parser's string-body loop copy whole
+   runs of plain characters. These are the one-character-at-a-time
+   versions they replaced; the run-copying ones must agree with them
+   byte for byte, errors included. *)
+
+let ref_escape s =
+  let buf = Buffer.create 16 in
+  Buffer.add_char buf '"';
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string buf "\\\""
+      | '\\' -> Buffer.add_string buf "\\\\"
+      | '\n' -> Buffer.add_string buf "\\n"
+      | '\r' -> Buffer.add_string buf "\\r"
+      | '\t' -> Buffer.add_string buf "\\t"
+      | '\b' -> Buffer.add_string buf "\\b"
+      | '\012' -> Buffer.add_string buf "\\f"
+      | c when Char.code c < 0x20 ->
+          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char buf c)
+    s;
+  Buffer.add_char buf '"';
+  Buffer.contents buf
+
+let ref_utf8 buf u =
+  let add x = Buffer.add_char buf (Char.chr x) in
+  if u < 0x80 then add u
+  else if u < 0x800 then begin
+    add (0xc0 lor (u lsr 6));
+    add (0x80 lor (u land 0x3f))
+  end
+  else if u < 0x10000 then begin
+    add (0xe0 lor (u lsr 12));
+    add (0x80 lor ((u lsr 6) land 0x3f));
+    add (0x80 lor (u land 0x3f))
+  end
+  else begin
+    add (0xf0 lor (u lsr 18));
+    add (0x80 lor ((u lsr 12) land 0x3f));
+    add (0x80 lor ((u lsr 6) land 0x3f));
+    add (0x80 lor (u land 0x3f))
+  end
+
+exception Ref_bad of int * string
+
+(* [Json.parse] of a document that starts with a string literal *)
+let ref_parse_string lit =
+  let n = String.length lit in
+  let pos = ref 1 in
+  let fail msg = raise (Ref_bad (!pos, msg)) in
+  let hex4 () =
+    if !pos + 4 > n then fail "truncated \\u escape";
+    let v = int_of_string ("0x" ^ String.sub lit !pos 4) in
+    pos := !pos + 4;
+    v
+  in
+  let buf = Buffer.create 16 in
+  let rec go () =
+    if !pos >= n then fail "unterminated string";
+    match lit.[!pos] with
+    | '"' -> incr pos
+    | '\\' ->
+        incr pos;
+        if !pos >= n then fail "unterminated escape";
+        let c = lit.[!pos] in
+        incr pos;
+        (match c with
+        | '"' -> Buffer.add_char buf '"'
+        | '\\' -> Buffer.add_char buf '\\'
+        | '/' -> Buffer.add_char buf '/'
+        | 'n' -> Buffer.add_char buf '\n'
+        | 'r' -> Buffer.add_char buf '\r'
+        | 't' -> Buffer.add_char buf '\t'
+        | 'b' -> Buffer.add_char buf '\b'
+        | 'f' -> Buffer.add_char buf '\012'
+        | 'u' ->
+            let u = hex4 () in
+            let u =
+              if u >= 0xd800 && u <= 0xdbff && !pos + 2 <= n
+                 && lit.[!pos] = '\\'
+                 && lit.[!pos + 1] = 'u'
+              then begin
+                pos := !pos + 2;
+                let lo = hex4 () in
+                0x10000 + ((u - 0xd800) lsl 10) + (lo - 0xdc00)
+              end
+              else u
+            in
+            ref_utf8 buf u
+        | _ -> fail "bad escape");
+        go ()
+    | c ->
+        Buffer.add_char buf c;
+        incr pos;
+        go ()
+  in
+  match
+    go ();
+    if !pos <> n then fail "trailing garbage"
+  with
+  | () -> Ok (Obs.Json.String (Buffer.contents buf))
+  | exception Ref_bad (at, msg) ->
+      Error (Printf.sprintf "json: at offset %d: %s" at msg)
+  | exception Failure msg -> Error ("json: " ^ msg)
+
+let json_result = Alcotest.(result json string)
+
+(* strings over all 256 byte values, long escapable runs, and strings
+   with no escapes at all *)
+let codec_strings rng =
+  let byte_in lo hi = Char.chr (lo + Random.State.int rng (hi - lo + 1)) in
+  let random_of gen =
+    String.init (Random.State.int rng 300) (fun _ -> gen ())
+  in
+  let any () = byte_in 0 255 in
+  let plain () =
+    match byte_in 0x20 0xff with '"' | '\\' -> 'x' | c -> c
+  in
+  let escapable () =
+    "\"\\\000\001\b\t\n\011\012\r\031".[Random.State.int rng 11]
+  in
+  let mixed () =
+    String.concat ""
+      (List.init (Random.State.int rng 12) (fun _ ->
+           let run = Random.State.int rng 60 in
+           match Random.State.int rng 3 with
+           | 0 -> String.init run (fun _ -> plain ())
+           | 1 -> String.init run (fun _ -> escapable ())
+           | _ -> String.init run (fun _ -> any ())))
+  in
+  [ ""; String.init 256 Char.chr; String.make 5000 '"'; String.make 5000 '\\';
+    String.init 4096 (fun i -> Char.chr (i land 0x1f));
+    String.init 8192 (fun i -> Char.chr (0x20 + (i mod 3))) ]
+  @ List.concat
+      (List.init 200 (fun _ ->
+           [ random_of any; random_of plain; random_of escapable; mixed () ]))
+
+let test_json_codec_matches_reference () =
+  let rng = Random.State.make [| 14 |] in
+  List.iter
+    (fun s ->
+      let lit = ref_escape s in
+      Alcotest.(check string) "to_string = per-char escape" lit
+        (Obs.Json.to_string (Obs.Json.String s));
+      Alcotest.(check string) "keys escape the same way"
+        ("{" ^ lit ^ ":" ^ lit ^ "}")
+        (Obs.Json.to_string ~minify:true
+           (Obs.Json.Obj [ (s, Obs.Json.String s) ]));
+      Alcotest.check json_result "parse (to_string s) = s"
+        (Ok (Obs.Json.String s)) (Obs.Json.parse lit);
+      Alcotest.check json_result "reference parser agrees"
+        (ref_parse_string lit) (Obs.Json.parse lit))
+    (codec_strings rng)
+
+(* literals the printer never emits: \/ and \u escapes (mixed case,
+   surrogate pairs, lone surrogates), raw control bytes, and malformed
+   endings — the parse result or error must match the reference *)
+let test_json_parse_matches_reference () =
+  let rng = Random.State.make [| 41 |] in
+  let pick a = a.(Random.State.int rng (Array.length a)) in
+  let hex_digit () = pick [| '0'; '7'; '9'; 'a'; 'B'; 'c'; 'D'; 'e'; 'F' |] in
+  let u4 prefix = prefix ^ String.init 2 (fun _ -> hex_digit ()) in
+  let token () =
+    match Random.State.int rng 9 with
+    | 0 ->
+        pick
+          [| {|\"|}; {|\\|}; {|\/|}; {|\n|}; {|\r|}; {|\t|}; {|\b|}; {|\f|} |]
+    | 1 -> "\\u" ^ String.init 4 (fun _ -> hex_digit ())
+    | 2 -> u4 "\\uD8" ^ u4 "\\uDC"
+    | 3 -> u4 "\\udb" ^ "x"
+    | 4 -> String.make 1 (Char.chr (Random.State.int rng 0x20))
+    | _ ->
+        String.init (Random.State.int rng 40) (fun _ ->
+            match Char.chr (Random.State.int rng 256) with
+            | '"' | '\\' -> 'q'
+            | c -> c)
+  in
+  let bad_ending () =
+    pick
+      [| ""; "\\"; "\\x"; "\\u12"; "\\uzzzz\""; "\"trailing"; "\\uD800\\u1";
+         "\"" |]
+  in
+  for _ = 1 to 2000 do
+    let body =
+      String.concat "" (List.init (Random.State.int rng 10) (fun _ -> token ()))
+    in
+    let lit =
+      match Random.State.int rng 4 with
+      | 0 -> "\"" ^ body ^ bad_ending ()
+      | _ -> "\"" ^ body ^ "\""
+    in
+    Alcotest.check json_result (String.escaped lit) (ref_parse_string lit)
+      (Obs.Json.parse lit)
+  done
+
 let suite =
   ( "obs",
     [ Alcotest.test_case "json round-trip" `Quick test_json_roundtrip;
@@ -818,4 +1016,8 @@ let suite =
       Alcotest.test_case "trace across domains" `Quick test_trace_multidomain;
       Alcotest.test_case "report accepts v3 and v6" `Quick
         test_report_accepts_v3_and_v6;
-      Alcotest.test_case "compare regression gate" `Quick test_compare_gate ] )
+      Alcotest.test_case "compare regression gate" `Quick test_compare_gate;
+      Alcotest.test_case "json strings match per-char reference" `Quick
+        test_json_codec_matches_reference;
+      Alcotest.test_case "json string parse matches reference" `Quick
+        test_json_parse_matches_reference ] )

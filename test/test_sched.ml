@@ -164,6 +164,25 @@ let test_seal_drain_stop () =
   | Sched.Closed -> ()
   | _ -> Alcotest.fail "stopped pool accepted work"
 
+(* A waiter with a far deadline must be woken by completion, not by a
+   polling nap: a job that finishes after a millisecond, waited on with a
+   30 s deadline, replies within 10 ms (median of five rounds). *)
+let test_deadline_wait_wakes_on_completion () =
+  let t = Sched.create ~workers:1 ~registry:(fresh ()) () in
+  Fun.protect ~finally:(fun () -> Sched.stop t) @@ fun () ->
+  let round () =
+    let t0 = Unix.gettimeofday () in
+    (* the job outlives the submit, so the waiter is already blocked *)
+    let h = submit_ok t (fun () -> Unix.sleepf 0.001; Json.String "done") in
+    Alcotest.(check string) "reply" "done"
+      (reply_string (Sched.wait t ~deadline:(t0 +. 30.) h));
+    Unix.gettimeofday () -. t0
+  in
+  let times = List.sort compare (List.init 5 (fun _ -> round ())) in
+  let median = List.nth times 2 in
+  if median >= 0.010 then
+    Alcotest.failf "deadline wait took %.1f ms at the median" (median *. 1000.)
+
 let suite =
   ( "sched",
     [ Alcotest.test_case "jobs fan out and all reply" `Quick test_basic_fanout;
@@ -176,4 +195,6 @@ let suite =
       Alcotest.test_case "worker crash surfaces as Crashed" `Quick
         test_crash_is_structured;
       Alcotest.test_case "seal, drain, stop lifecycle" `Quick
-        test_seal_drain_stop ] )
+        test_seal_drain_stop;
+      Alcotest.test_case "deadline waiters wake on completion" `Quick
+        test_deadline_wait_wakes_on_completion ] )

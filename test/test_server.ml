@@ -832,6 +832,137 @@ let test_engine_ignores_bare_digest_lifts () =
   Alcotest.(check string) "same image as a clean store"
     (Store.Codec.image_digest clean) (Store.Codec.image_digest image)
 
+(* --- hex codec against the per-byte reference ---
+
+   [hex_encode] fills its output from a digit table and [hex_decode]
+   reads digits through a lookup table; these are the sprintf / Result
+   versions they replaced. Output and error strings must not move. *)
+
+let ref_hex_encode s =
+  let b = Buffer.create (2 * String.length s) in
+  String.iter
+    (fun c -> Buffer.add_string b (Printf.sprintf "%02x" (Char.code c)))
+    s;
+  Buffer.contents b
+
+let ref_hex_decode s =
+  let n = String.length s in
+  if n mod 2 <> 0 then Error "odd-length hex string"
+  else
+    let digit c =
+      match c with
+      | '0' .. '9' -> Ok (Char.code c - Char.code '0')
+      | 'a' .. 'f' -> Ok (Char.code c - Char.code 'a' + 10)
+      | 'A' .. 'F' -> Ok (Char.code c - Char.code 'A' + 10)
+      | _ -> Error (Printf.sprintf "bad hex digit %C" c)
+    in
+    let b = Bytes.create (n / 2) in
+    let rec go i =
+      if i = n / 2 then Ok (Bytes.unsafe_to_string b)
+      else
+        match (digit s.[2 * i], digit s.[(2 * i) + 1]) with
+        | Ok hi, Ok lo ->
+            Bytes.set b i (Char.chr ((hi lsl 4) lor lo));
+            go (i + 1)
+        | Error m, _ | _, Error m -> Error m
+    in
+    go 0
+
+let test_hex_matches_reference () =
+  let decoded = Alcotest.(result string string) in
+  let all_bytes = String.init 256 Char.chr in
+  let hex = P.hex_encode all_bytes in
+  Alcotest.(check string) "every byte value encodes as before"
+    (ref_hex_encode all_bytes) hex;
+  Alcotest.check decoded "uppercase digits decode" (Ok all_bytes)
+    (P.hex_decode (String.uppercase_ascii hex));
+  List.iter
+    (fun (input, err) ->
+      Alcotest.check decoded input (Error err) (P.hex_decode input);
+      Alcotest.check decoded (input ^ " (reference)") (Error err)
+        (ref_hex_decode input))
+    [ ("0g", "bad hex digit 'g'");
+      ("g0", "bad hex digit 'g'");
+      ("gz", "bad hex digit 'g'");
+      ("00ff0z", "bad hex digit 'z'");
+      ("abc", "odd-length hex string");
+      ("0\255", "bad hex digit '\\255'") ];
+  (* random strings, mostly well-formed: same bytes or same error *)
+  let rng = Random.State.make [| 16 |] in
+  let alphabet = "0123456789abcdefABCDEF" in
+  for _ = 1 to 500 do
+    let s =
+      String.init (Random.State.int rng 64) (fun _ ->
+          if Random.State.int rng 50 = 0 then
+            Char.chr (Random.State.int rng 256)
+          else alphabet.[Random.State.int rng (String.length alphabet)])
+    in
+    Alcotest.check decoded (String.escaped s) (ref_hex_decode s)
+      (P.hex_decode s);
+    let raw =
+      String.init (Random.State.int rng 64) (fun _ ->
+          Char.chr (Random.State.int rng 256))
+    in
+    Alcotest.(check string) "encode" (ref_hex_encode raw) (P.hex_encode raw)
+  done
+
+(* A daemon whose requests carry a deadline answers as soon as the work
+   is done: a 1 ms ping under a 30 s deadline — the request's own or the
+   daemon's default ([serve --deadline-ms]) — replies within 10 ms at
+   the median, and a short deadline on slow work still times out. *)
+let test_daemon_deadline_replies_promptly () =
+  let dir = tmp_sources () in
+  Fun.protect ~finally:(fun () ->
+      try Unix.rmdir dir with Unix.Unix_error _ -> ())
+  @@ fun () ->
+  let socket = Filename.concat dir "d.sock" in
+  let engine = Server.Engine.create ~store:(Store.in_memory ()) () in
+  let server =
+    Domain.spawn (fun () ->
+        Server.Daemon.serve ~engine ~socket ~default_deadline_ms:30000 ())
+  in
+  let rec connect tries =
+    match Server.Client.connect ~socket () with
+    | Ok fd -> fd
+    | Error m ->
+        if tries = 0 then Alcotest.failf "could not connect: %s" m
+        else begin
+          Unix.sleepf 0.05;
+          connect (tries - 1)
+        end
+  in
+  let fd = connect 100 in
+  Fun.protect ~finally:(fun () -> Server.Client.close fd) @@ fun () ->
+  let median_ms what ping =
+    let round () =
+      let t0 = Unix.gettimeofday () in
+      (match ping () with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "%s: %s" what e.P.message);
+      Unix.gettimeofday () -. t0
+    in
+    let times = List.sort compare (List.init 5 (fun _ -> round ())) in
+    1000. *. List.nth times 2
+  in
+  List.iter
+    (fun (what, ping) ->
+      let ms = median_ms what ping in
+      if ms >= 10. then Alcotest.failf "%s: %.1f ms at the median" what ms)
+    [ ( "request deadline",
+        fun () -> Server.Client.ping fd ~deadline_ms:30000 ~delay_ms:1 () );
+      ( "daemon default deadline",
+        fun () -> Server.Client.ping fd ~delay_ms:1 () )
+    ];
+  (match Server.Client.ping fd ~deadline_ms:50 ~delay_ms:2000 () with
+  | Ok _ -> Alcotest.fail "deadline did not fire"
+  | Error e -> Alcotest.(check string) "timeout error code" "timeout" e.P.code);
+  (match Server.Client.shutdown fd with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "shutdown failed: %s" e.P.message);
+  match Domain.join server with
+  | Ok () -> ()
+  | Error m -> Alcotest.failf "daemon exited with: %s" m
+
 let suite =
   ( "server",
     [ Alcotest.test_case "requests round-trip the wire format" `Quick
@@ -868,4 +999,8 @@ let suite =
       Alcotest.test_case "client retries ride out overload" `Quick
         test_client_retries_ride_out_overload;
       Alcotest.test_case "lifts stored under a bare digest are never read"
-        `Quick test_engine_ignores_bare_digest_lifts ] )
+        `Quick test_engine_ignores_bare_digest_lifts;
+      Alcotest.test_case "hex codec matches per-byte reference" `Quick
+        test_hex_matches_reference;
+      Alcotest.test_case "deadline requests reply promptly" `Quick
+        test_daemon_deadline_replies_promptly ] )
